@@ -50,5 +50,5 @@ pub mod time;
 pub use engine::EventLoop;
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use shard::{ShardStream, ShardedEventLoop};
+pub use shard::ShardedEventLoop;
 pub use time::{SimDuration, SimTime};

@@ -23,20 +23,12 @@
 //!   many worker threads the logical shards are packed onto
 //!   ([`ShardedEventLoop::run_threaded`]).
 //!
-//! Two drive modes are provided:
-//!
-//! * **closed world** ([`ShardedEventLoop::run_bounded`]): the handler
-//!   schedules everything, as with the sequential engine. Used by the
-//!   differential tests that prove the synchronization protocol sound.
-//! * **streaming** ([`ShardStream`]): an external producer (the SUPRENUM
-//!   kernel) generates timestamped events and releases watermarks; each
-//!   shard consumes its queue up to the watermark on its own thread while
-//!   the producer runs ahead. The watermark plays the role of the null
-//!   message: the producer promises never to push an event earlier than
-//!   the last released watermark.
+//! The handler schedules everything, as with the sequential engine
+//! ([`ShardedEventLoop::run_bounded`]); [`ShardedEventLoop::run_threaded`]
+//! additionally packs the logical shards onto a chosen number of worker
+//! threads.
 
 use std::sync::mpsc;
-use std::thread::JoinHandle;
 
 use crate::engine::StopReason;
 use crate::queue::EventQueue;
@@ -362,20 +354,11 @@ impl<E: Send> ShardedEventLoop<E> {
         F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E) + Sync,
     {
         let threads = self.shards.len();
-        self.run_threaded(
-            states,
-            horizon,
-            max_steps,
-            threads,
-            handler,
-            |_| (),
-            |_, _: Vec<()>| {},
-        )
+        self.run_threaded(states, horizon, max_steps, threads, handler)
     }
 
     /// Like [`run_bounded`](Self::run_bounded), but with the worker
-    /// thread count decoupled from the logical shard count, plus a
-    /// per-epoch collection hook.
+    /// thread count decoupled from the logical shard count.
     ///
     /// Logical shards are packed onto `threads` **persistent** worker
     /// threads in contiguous ranges (with `threads <= 1` everything runs
@@ -386,36 +369,20 @@ impl<E: Send> ShardedEventLoop<E> {
     /// source shard, send order)` order, even between shards sharing a
     /// worker. The thread count is purely a parallelism knob.
     ///
-    /// After every epoch's barrier, `collect` runs against each state
-    /// that participated in the epoch (on its worker thread) and the
-    /// results are passed — in shard order — to `epoch_hook` on the
-    /// caller's thread, together with a watermark: the next window's
-    /// start time (no event executes before it after this call), or
-    /// [`SimTime::MAX`] once the engine has drained. This is the seam a
-    /// producer uses to stream per-shard output (e.g. monitoring
-    /// emissions) to a consumer with a conservative lower bound on all
-    /// future event times.
-    ///
     /// # Panics
     ///
     /// Panics if `states` does not provide exactly one slot per shard.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_threaded<S, T, F, C, H>(
+    pub fn run_threaded<S, F>(
         &mut self,
         states: &mut [S],
         horizon: SimTime,
         max_steps: u64,
         threads: usize,
         handler: F,
-        collect: C,
-        mut epoch_hook: H,
     ) -> StopReason
     where
         S: Send,
-        T: Send,
         F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E) + Sync,
-        C: Fn(&mut S) -> T + Sync,
-        H: FnMut(SimTime, Vec<T>),
     {
         assert_eq!(
             states.len(),
@@ -425,14 +392,7 @@ impl<E: Send> ShardedEventLoop<E> {
         let num_shards = self.shards.len();
         let lookahead = self.lookahead;
         if threads <= 1 || num_shards == 1 {
-            return self.run_inline(
-                states,
-                horizon,
-                max_steps,
-                &handler,
-                &collect,
-                &mut epoch_hook,
-            );
+            return self.run_inline(states, horizon, max_steps, &handler);
         }
 
         let chunk = num_shards.div_ceil(threads.min(num_shards));
@@ -446,7 +406,7 @@ impl<E: Send> ShardedEventLoop<E> {
 
         let stop = std::thread::scope(|scope| {
             let mut cmd_txs: Vec<mpsc::Sender<EpochCmd<E>>> = Vec::new();
-            let mut res_rxs: Vec<mpsc::Receiver<EpochOut<E, T>>> = Vec::new();
+            let mut res_rxs: Vec<mpsc::Receiver<EpochOut<E>>> = Vec::new();
             let mut handles = Vec::new();
             for (w, (shard_chunk, state_chunk)) in self
                 .shards
@@ -455,11 +415,10 @@ impl<E: Send> ShardedEventLoop<E> {
                 .enumerate()
             {
                 let (tx, rx) = mpsc::channel::<EpochCmd<E>>();
-                let (res_tx, res_rx) = mpsc::channel::<EpochOut<E, T>>();
+                let (res_tx, res_rx) = mpsc::channel::<EpochOut<E>>();
                 cmd_txs.push(tx);
                 res_rxs.push(res_rx);
                 let handler = &handler;
-                let collect = &collect;
                 let base = w * chunk;
                 let handle = std::thread::Builder::new()
                     .name(format!("engine-shard-{w}"))
@@ -474,7 +433,6 @@ impl<E: Send> ShardedEventLoop<E> {
                             &rx,
                             &res_tx,
                             handler,
-                            collect,
                         );
                     })
                     .expect("spawn engine shard worker");
@@ -542,9 +500,6 @@ impl<E: Send> ShardedEventLoop<E> {
 
                 let mut budget_hit = false;
                 let mut messages: Vec<Outgoing<E>> = Vec::new();
-                let mut collected: Vec<T> = Vec::new();
-                // Awaiting in worker order keeps `collected` in shard
-                // order without an explicit sort.
                 for &w in &dispatched {
                     let out = match recv_spin(&res_rxs[w]) {
                         Ok(out) => out,
@@ -565,7 +520,6 @@ impl<E: Send> ShardedEventLoop<E> {
                     for (i, p) in out.peeks {
                         peeks[i] = p;
                     }
-                    collected.extend(out.collected);
                 }
                 // Barrier: merge in (arrival, send time, source shard,
                 // send order) order — identical for every thread count.
@@ -574,11 +528,6 @@ impl<E: Send> ShardedEventLoop<E> {
                     scheduled += 1;
                     pending[m.dst].push((m.time, m.event));
                 }
-                let watermark = (0..num_shards)
-                    .filter_map(|i| next_time(&peeks, &pending, i))
-                    .min()
-                    .unwrap_or(SimTime::MAX);
-                epoch_hook(watermark, collected);
                 if budget_hit {
                     break StopReason::StepBudget;
                 }
@@ -591,19 +540,15 @@ impl<E: Send> ShardedEventLoop<E> {
 
     /// The single-threaded twin of the worker protocol: same windows,
     /// same merge order, no threads.
-    fn run_inline<S, T, F, C, H>(
+    fn run_inline<S, F>(
         &mut self,
         states: &mut [S],
         horizon: SimTime,
         max_steps: u64,
         handler: &F,
-        collect: &C,
-        epoch_hook: &mut H,
     ) -> StopReason
     where
         F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
-        C: Fn(&mut S) -> T,
-        H: FnMut(SimTime, Vec<T>),
     {
         let num_shards = self.shards.len();
         let lookahead = self.lookahead;
@@ -628,7 +573,6 @@ impl<E: Send> ShardedEventLoop<E> {
 
             let mut budget_hit = false;
             let mut messages: Vec<Outgoing<E>> = Vec::new();
-            let mut collected = Vec::with_capacity(num_shards);
             for (i, (shard, state)) in self.shards.iter_mut().zip(states.iter_mut()).enumerate() {
                 let (outbox, steps, hit) = run_window(
                     shard, state, i, num_shards, window_end, inclusive, horizon, budget, lookahead,
@@ -637,7 +581,6 @@ impl<E: Send> ShardedEventLoop<E> {
                 handled += steps;
                 budget_hit |= hit;
                 messages.extend(outbox);
-                collected.push(collect(state));
             }
             // Stable sort keeps each source's send order for equal keys.
             messages.sort_by_key(|m| (m.time, m.sent_at, m.src));
@@ -645,13 +588,6 @@ impl<E: Send> ShardedEventLoop<E> {
                 self.scheduled += 1;
                 self.shards[m.dst].queue.push(m.time, m.event);
             }
-            let watermark = self
-                .shards
-                .iter()
-                .filter_map(|s| s.queue.peek_time())
-                .min()
-                .unwrap_or(SimTime::MAX);
-            epoch_hook(watermark, collected);
             if budget_hit {
                 return StopReason::StepBudget;
             }
@@ -670,14 +606,12 @@ struct EpochCmd<E> {
 }
 
 /// One epoch's results from a worker.
-struct EpochOut<E, T> {
+struct EpochOut<E> {
     outbox: Vec<Outgoing<E>>,
     steps: u64,
     budget_hit: bool,
     /// Refreshed queue-head times for every shard this worker owns.
     peeks: Vec<(usize, Option<SimTime>)>,
-    /// Per-owned-shard collection results, in shard order.
-    collected: Vec<T>,
 }
 
 /// Spin briefly before parking on the channel: epochs are short enough
@@ -696,7 +630,7 @@ fn recv_spin<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
 /// A persistent worker: owns a contiguous range of logical shards for
 /// the whole run and executes one lookahead window per command.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<E, S, T, F, C>(
+fn worker_loop<E, S, F>(
     base: usize,
     shards: &mut [ShardState<E>],
     states: &mut [S],
@@ -704,12 +638,10 @@ fn worker_loop<E, S, T, F, C>(
     lookahead: SimDuration,
     horizon: SimTime,
     rx: &mpsc::Receiver<EpochCmd<E>>,
-    tx: &mpsc::Sender<EpochOut<E, T>>,
+    tx: &mpsc::Sender<EpochOut<E>>,
     handler: &F,
-    collect: &C,
 ) where
     F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
-    C: Fn(&mut S) -> T,
 {
     while let Ok(cmd) = recv_spin(rx) {
         for (dst, t, ev) in cmd.deliveries {
@@ -718,7 +650,6 @@ fn worker_loop<E, S, T, F, C>(
         let mut outbox: Vec<Outgoing<E>> = Vec::new();
         let mut steps = 0u64;
         let mut budget_hit = false;
-        let mut collected = Vec::with_capacity(states.len());
         for (i, (shard, state)) in shards.iter_mut().zip(states.iter_mut()).enumerate() {
             let (out, s, hit) = run_window(
                 shard,
@@ -735,7 +666,6 @@ fn worker_loop<E, S, T, F, C>(
             steps += s;
             budget_hit |= hit;
             outbox.extend(out);
-            collected.push(collect(state));
         }
         let peeks = shards
             .iter()
@@ -748,7 +678,6 @@ fn worker_loop<E, S, T, F, C>(
                 steps,
                 budget_hit,
                 peeks,
-                collected,
             })
             .is_err()
         {
@@ -802,226 +731,6 @@ where
         handler(state, &mut ctx, t, event);
     }
     (outbox, steps, false)
-}
-
-/// Producer-side message to a streaming shard worker.
-enum StreamMsg<E> {
-    /// A batch of `(time, event)` pairs for the worker's queue.
-    Batch(Vec<(SimTime, E)>),
-    /// Permission to execute every queued event strictly before the
-    /// watermark: the producer promises never to push an earlier event.
-    Release(SimTime),
-}
-
-/// Events buffered per shard before they are flushed to the worker.
-const STREAM_BATCH: usize = 8 * 1024;
-
-/// A streaming sharded executor: long-lived worker threads consume
-/// per-shard event streams up to producer-released watermarks.
-///
-/// This is the engine mode the measurement pipeline uses: the SUPRENUM
-/// kernel (the producer) stays sequential and authoritative over
-/// simulated time, while the monitoring plane's expansion/detection work
-/// executes on the shard workers, overlapped with the kernel via
-/// watermark epochs. The watermark is the conservative lookahead bound:
-/// [`ShardStream::push`] rejects events earlier than the last released
-/// watermark, exactly as a conservative engine rejects a message into a
-/// closed window.
-///
-/// # Examples
-///
-/// ```
-/// use des::shard::ShardStream;
-/// use des::time::SimTime;
-///
-/// let mut stream: ShardStream<u64, Vec<u64>> =
-///     ShardStream::spawn(vec![Vec::new(), Vec::new()], |log, _shard, _t, v| log.push(v));
-/// stream.push(0, SimTime::from_nanos(5), 50);
-/// stream.push(1, SimTime::from_nanos(3), 30);
-/// stream.release(SimTime::from_nanos(10));
-/// let logs = stream.finish();
-/// assert_eq!(logs, vec![vec![50], vec![30]]);
-/// ```
-pub struct ShardStream<E, S> {
-    senders: Vec<mpsc::Sender<StreamMsg<E>>>,
-    workers: Vec<JoinHandle<S>>,
-    pending: Vec<Vec<(SimTime, E)>>,
-    watermark: SimTime,
-    pushed: u64,
-}
-
-impl<E, S> std::fmt::Debug for ShardStream<E, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardStream")
-            .field("num_shards", &self.senders.len())
-            .field("watermark", &self.watermark)
-            .field("pushed", &self.pushed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<E, S> ShardStream<E, S>
-where
-    E: Send + 'static,
-    S: Send + 'static,
-{
-    /// Spawns one worker thread per state slot. Each worker owns its
-    /// state and its calendar [`EventQueue`]; `handler` runs on the
-    /// worker thread for every released event, in `(time, push order)`
-    /// order within the shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty.
-    pub fn spawn<F>(states: Vec<S>, handler: F) -> Self
-    where
-        F: Fn(&mut S, usize, SimTime, E) + Send + Sync + 'static,
-    {
-        assert!(!states.is_empty(), "need at least one shard");
-        let handler = std::sync::Arc::new(handler);
-        let mut senders = Vec::with_capacity(states.len());
-        let mut workers = Vec::with_capacity(states.len());
-        let num_shards = states.len();
-        for (index, mut state) in states.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<StreamMsg<E>>();
-            let handler = handler.clone();
-            let builder = std::thread::Builder::new().name(format!("shard-{index}/{num_shards}"));
-            let handle = builder
-                .spawn(move || {
-                    let mut queue: EventQueue<E> = EventQueue::new();
-                    let run_to = |queue: &mut EventQueue<E>,
-                                  state: &mut S,
-                                  watermark: SimTime,
-                                  inclusive: bool| {
-                        while let Some(t) = queue.peek_time() {
-                            if !(t < watermark || inclusive) {
-                                break;
-                            }
-                            let (t, event) = queue.pop().expect("peeked nonempty queue");
-                            handler(state, index, t, event);
-                        }
-                    };
-                    for msg in rx {
-                        match msg {
-                            StreamMsg::Batch(batch) => {
-                                for (t, event) in batch {
-                                    queue.push(t, event);
-                                }
-                            }
-                            StreamMsg::Release(w) => {
-                                run_to(&mut queue, &mut state, w, w == SimTime::MAX);
-                            }
-                        }
-                    }
-                    // Producer hung up: everything still queued is final.
-                    run_to(&mut queue, &mut state, SimTime::MAX, true);
-                    state
-                })
-                .expect("spawn shard worker");
-            senders.push(tx);
-            workers.push(handle);
-        }
-        ShardStream {
-            senders,
-            workers,
-            pending: (0..num_shards).map(|_| Vec::new()).collect(),
-            watermark: SimTime::ZERO,
-            pushed: 0,
-        }
-    }
-
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The last released watermark.
-    pub fn watermark(&self) -> SimTime {
-        self.watermark
-    }
-
-    /// Total events pushed so far.
-    pub fn events_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Queues `event` for `shard` at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range, or if `at` is earlier than the
-    /// current watermark — the producer contract (a conservative
-    /// lookahead bound) forbids pushing into a released window.
-    pub fn push(&mut self, shard: usize, at: SimTime, event: E) {
-        assert!(
-            at >= self.watermark,
-            "push at {at} violates the released watermark {}",
-            self.watermark
-        );
-        self.pushed += 1;
-        let buf = &mut self.pending[shard];
-        buf.push((at, event));
-        if buf.len() >= STREAM_BATCH {
-            let batch = std::mem::take(buf);
-            self.send(shard, StreamMsg::Batch(batch));
-        }
-    }
-
-    /// Flushes buffered events and releases `watermark`: every shard may
-    /// now execute all queued events strictly before it. Watermarks must
-    /// be non-decreasing.
-    pub fn release(&mut self, watermark: SimTime) {
-        assert!(
-            watermark >= self.watermark,
-            "watermark went backwards ({watermark} < {})",
-            self.watermark
-        );
-        self.watermark = watermark;
-        for shard in 0..self.senders.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.send(shard, StreamMsg::Batch(batch));
-            }
-            self.send(shard, StreamMsg::Release(watermark));
-        }
-    }
-
-    /// Flushes remaining events, waits for every worker to drain, and
-    /// returns the per-shard states.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any panic that occurred on a worker thread.
-    pub fn finish(mut self) -> Vec<S> {
-        for shard in 0..self.senders.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.send(shard, StreamMsg::Batch(batch));
-            }
-        }
-        drop(std::mem::take(&mut self.senders));
-        self.workers
-            .drain(..)
-            .map(|h| match h.join() {
-                Ok(state) => state,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-
-    /// Sends to a worker, surfacing the worker's own panic if it died.
-    fn send(&mut self, shard: usize, msg: StreamMsg<E>) {
-        if self.senders[shard].send(msg).is_err() {
-            // The worker can only have exited by panicking (it never
-            // returns while its receiver is alive); join to re-raise the
-            // real panic instead of a bare SendError.
-            let handle = self.workers.remove(shard);
-            match handle.join() {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(_) => unreachable!("shard worker exited with its channel open"),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1245,42 +954,6 @@ mod tests {
         assert_eq!(logs[2], vec!["from-b", "from-a"]);
     }
 
-    /// The per-epoch collect/hook seam: everything collected at a
-    /// barrier lies strictly below the reported watermark, and nothing
-    /// is lost or duplicated.
-    #[test]
-    fn epoch_hook_sees_collected_output_below_the_watermark() {
-        let mut sim: ShardedEventLoop<u32> = ShardedEventLoop::new(2, LOOKAHEAD);
-        sim.schedule(0, SimTime::ZERO, 0);
-        let mut states: Vec<Vec<u64>> = vec![Vec::new(); 2];
-        let mut all = Vec::new();
-        let reason = sim.run_threaded(
-            &mut states,
-            SimTime::MAX,
-            u64::MAX,
-            2,
-            |seen: &mut Vec<u64>, ctx, now, hop| {
-                seen.push(now.as_nanos());
-                if hop < 5 {
-                    ctx.send_in(1 - ctx.shard(), ctx.lookahead(), hop + 1);
-                }
-            },
-            std::mem::take,
-            |watermark, collected: Vec<Vec<u64>>| {
-                for t in collected.into_iter().flatten() {
-                    assert!(
-                        SimTime::from_nanos(t) < watermark,
-                        "collected event at {t} not below watermark {watermark}"
-                    );
-                    all.push(t);
-                }
-            },
-        );
-        assert_eq!(reason, StopReason::Drained);
-        let l = LOOKAHEAD.as_nanos();
-        assert_eq!(all, vec![0, l, 2 * l, 3 * l, 4 * l, 5 * l]);
-    }
-
     #[test]
     fn horizon_stops_at_epoch_boundary() {
         let mut sim: ShardedEventLoop<u32> = ShardedEventLoop::new(2, LOOKAHEAD);
@@ -1321,49 +994,6 @@ mod tests {
         assert_eq!(logs, vec![vec![1], vec![2]]);
     }
 
-    #[test]
-    fn stream_processes_in_time_order_within_shard() {
-        let mut stream: ShardStream<u32, Vec<(u64, u32)>> =
-            ShardStream::spawn(vec![Vec::new()], |log, _, t, v| log.push((t.as_nanos(), v)));
-        stream.push(0, SimTime::from_nanos(30), 3);
-        stream.push(0, SimTime::from_nanos(10), 1);
-        stream.push(0, SimTime::from_nanos(20), 2);
-        // Only events strictly before the watermark run.
-        stream.release(SimTime::from_nanos(25));
-        stream.push(0, SimTime::from_nanos(40), 4);
-        let logs = stream.finish();
-        assert_eq!(logs[0], vec![(10, 1), (20, 2), (30, 3), (40, 4)]);
-    }
-
-    #[test]
-    fn stream_fifo_for_equal_times() {
-        let mut stream: ShardStream<u32, Vec<u32>> =
-            ShardStream::spawn(vec![Vec::new()], |log, _, _, v| log.push(v));
-        for v in 0..100 {
-            stream.push(0, SimTime::from_nanos(5), v);
-        }
-        let logs = stream.finish();
-        assert_eq!(logs[0], (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "violates the released watermark")]
-    fn stream_push_below_watermark_panics() {
-        let mut stream: ShardStream<u32, ()> = ShardStream::spawn(vec![()], |_, _, _, _| {});
-        stream.release(SimTime::from_nanos(100));
-        stream.push(0, SimTime::from_nanos(50), 1);
-    }
-
-    #[test]
-    fn stream_worker_panic_surfaces_at_finish() {
-        let mut stream: ShardStream<u32, ()> = ShardStream::spawn(vec![()], |_, _, _, v| {
-            assert!(v != 7, "poison event");
-        });
-        stream.push(0, SimTime::from_nanos(1), 7);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stream.finish()));
-        assert!(result.is_err());
-    }
-
     /// Runs the toy protocol through `run_threaded` with an explicit
     /// worker-thread count.
     fn run_threaded_case(
@@ -1391,8 +1021,6 @@ mod tests {
                     }
                 }
             },
-            |_| (),
-            |_, _: Vec<()>| {},
         );
         assert_eq!(reason, StopReason::Drained);
         logs
@@ -1471,38 +1099,6 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(run_sharded(num_shards, &seeds), run_sharded(num_shards, &seeds));
-        }
-
-        /// Streaming mode: per-shard logs equal a per-shard (time, push
-        /// order) sort of the pushed events, for arbitrary push/release
-        /// interleavings.
-        #[test]
-        fn stream_matches_sorted_reference(
-            num_shards in 1usize..4,
-            ops in proptest::collection::vec((0usize..4, 0u64..10_000, 0u8..4), 0..200),
-        ) {
-            let mut stream: ShardStream<usize, Vec<(u64, usize)>> = ShardStream::spawn(
-                (0..num_shards).map(|_| Vec::new()).collect(),
-                |log, _, t, v| log.push((t.as_nanos(), v)),
-            );
-            let mut reference: Vec<Vec<(u64, usize)>> = vec![Vec::new(); num_shards];
-            let mut watermark = 0u64;
-            for (i, &(shard, t, sel)) in ops.iter().enumerate() {
-                let shard = shard % num_shards;
-                let t = watermark + t; // respect the producer contract
-                stream.push(shard, SimTime::from_nanos(t), i);
-                reference[shard].push((t, i));
-                if sel == 0 {
-                    watermark = t;
-                    stream.release(SimTime::from_nanos(watermark));
-                }
-            }
-            let logs = stream.finish();
-            for shard in 0..num_shards {
-                // Stable sort by time = (time, push order).
-                reference[shard].sort_by_key(|&(t, _)| t);
-                prop_assert_eq!(&logs[shard], &reference[shard]);
-            }
         }
     }
 }

@@ -49,12 +49,14 @@ pub use sweeps::Scale;
 pub use verify::{verify_sweep, verify_sweep_opts, verify_sweep_with, VerifyOptions, VerifyReport};
 
 /// Version of the JSON artifact schema this harness writes (sweep
-/// artifacts and bench baselines alike). Bumped whenever a field is
-/// removed or changes meaning; artifacts from different schema versions
-/// must never be compared — see [`artifact_schema_version`]. Purely
-/// additive fields (readers treat absence as the documented default,
-/// e.g. `engine_shards` absent = 1) do not bump the schema, so newer
-/// binaries stay comparable against committed baselines.
+/// artifacts and bench baselines alike). Bumped whenever a field
+/// changes meaning; artifacts from different schema versions must never
+/// be compared — see [`artifact_schema_version`]. Purely additive fields
+/// (readers treat absence as the documented default, e.g.
+/// `engine_shards` absent = 1) do not bump the schema, and neither does
+/// retiring one that readers ignore (`shards`, the monitor-shard count
+/// older schema-4 artifacts carry, always behaviourally invisible), so
+/// newer binaries stay comparable against committed baselines.
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// Extracts the `schema_version` field from an artifact's JSON text.
@@ -190,19 +192,15 @@ pub struct RunRecord {
     /// part of the digest; the benchmark baseline compares this across
     /// commits.
     pub events_per_sec: f64,
-    /// Monitor-shard count the run executed with. Sharding is
-    /// behaviourally invisible — digests are bit-identical for any
-    /// count — so this only contextualizes the wall-clock numbers.
-    pub shards: usize,
-    /// Engine worker-thread count the run executed with. Like monitor
-    /// sharding, behaviourally invisible: a multi-cluster machine
-    /// always partitions per cluster, this only packs the shards onto
-    /// threads. Additive schema-4 field — absent in older artifacts,
-    /// which all ran with 1.
+    /// Engine worker-thread count the run executed with. Behaviourally
+    /// invisible — a multi-cluster machine always partitions per
+    /// cluster, this only packs the shards onto threads — so it only
+    /// contextualizes the wall-clock numbers. Additive schema-4 field —
+    /// absent in older artifacts, which all ran with 1.
     pub engine_shards: usize,
     /// Canonical name of the kernel scheduling policy the run executed
-    /// under (see [`suprenum::SchedulerKind::name`]). Unlike sharding
-    /// this *does* change simulated behaviour, so `harness compare`
+    /// under (see [`suprenum::SchedulerKind::name`]). Unlike engine
+    /// sharding this *does* change simulated behaviour, so `harness compare`
     /// refuses to diff records across policies. Additive schema-4
     /// field — absent in older artifacts, which all ran round-robin
     /// (`"rr"`).
@@ -270,8 +268,16 @@ pub struct ArtifactRun {
 ///
 /// The artifact writer emits exactly one field per line and every run
 /// object opens with its `label` field, so a line-oriented scan
-/// suffices — no general JSON parser is vendored for this.
-pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
+/// suffices — no general JSON parser is vendored for this. Fields the
+/// reader does not use (such as the retired `shards`) are skipped.
+///
+/// # Errors
+///
+/// Returns a message naming the problem when the text holds no run in
+/// that layout (e.g. a minified artifact), a run lacks its
+/// `trace_digest`, `events_per_sec` or `wall_ms`, or a numeric field
+/// does not parse.
+pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> {
     fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         let rest = line.trim_start().strip_prefix(&format!("\"{key}\": "))?;
         Some(rest.trim_end_matches(','))
@@ -279,37 +285,64 @@ pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
     fn str_value(raw: &str) -> String {
         raw.trim_matches('"').to_owned()
     }
+    fn number<T: std::str::FromStr>(raw: &str, key: &str, label: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|_| format!("run '{label}' has a malformed {key} ({raw})"))
+    }
+    fn missing(label: &str, key: &str) -> String {
+        format!("run '{label}' has no {key}")
+    }
 
-    let mut runs: Vec<ArtifactRun> = Vec::new();
+    // Rows under construction: the run plus the fields that must appear.
+    let mut rows: Vec<(ArtifactRun, Option<f64>, Option<f64>)> = Vec::new();
     for line in json_text.lines() {
         if let Some(raw) = field(line, "label") {
-            runs.push(ArtifactRun {
+            let run = ArtifactRun {
                 label: str_value(raw),
                 trace_digest: String::new(),
                 events_per_sec: 0.0,
                 wall_ms: 0.0,
                 analysis_counts: (0, 0, 0),
                 scheduler: "rr".to_owned(),
-            });
-        } else if let Some(run) = runs.last_mut() {
+            };
+            rows.push((run, None, None));
+        } else if let Some((run, events_per_sec, wall_ms)) = rows.last_mut() {
+            let label = run.label.as_str();
             if let Some(raw) = field(line, "trace_digest") {
                 run.trace_digest = str_value(raw);
             } else if let Some(raw) = field(line, "events_per_sec") {
-                run.events_per_sec = raw.parse().unwrap_or(0.0);
+                *events_per_sec = Some(number(raw, "events_per_sec", label)?);
             } else if let Some(raw) = field(line, "wall_ms") {
-                run.wall_ms = raw.parse().unwrap_or(0.0);
+                *wall_ms = Some(number(raw, "wall_ms", label)?);
             } else if let Some(raw) = field(line, "analysis_errors") {
-                run.analysis_counts.0 = raw.parse().unwrap_or(0);
+                run.analysis_counts.0 = number(raw, "analysis_errors", label)?;
             } else if let Some(raw) = field(line, "analysis_warnings") {
-                run.analysis_counts.1 = raw.parse().unwrap_or(0);
+                run.analysis_counts.1 = number(raw, "analysis_warnings", label)?;
             } else if let Some(raw) = field(line, "analysis_infos") {
-                run.analysis_counts.2 = raw.parse().unwrap_or(0);
+                run.analysis_counts.2 = number(raw, "analysis_infos", label)?;
             } else if let Some(raw) = field(line, "scheduler") {
                 run.scheduler = str_value(raw);
             }
         }
     }
-    runs
+    if rows.is_empty() {
+        return Err(
+            "artifact has no runs (expected one \"label\" line per run, as the harness \
+             writes them; minified artifacts are not readable)"
+                .to_owned(),
+        );
+    }
+    rows.into_iter()
+        .map(|(mut run, events_per_sec, wall_ms)| {
+            if run.trace_digest.is_empty() {
+                return Err(missing(&run.label, "trace_digest"));
+            }
+            run.events_per_sec =
+                events_per_sec.ok_or_else(|| missing(&run.label, "events_per_sec"))?;
+            run.wall_ms = wall_ms.ok_or_else(|| missing(&run.label, "wall_ms"))?;
+            Ok(run)
+        })
+        .collect()
 }
 
 /// Compares two artifacts run by run: digests must match (same
@@ -321,22 +354,21 @@ pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
 ///
 /// # Errors
 ///
-/// One message per problem: schema mismatch, run present in only one
-/// artifact, or digest divergence.
+/// One message per problem: schema mismatch, an unreadable artifact
+/// (see [`parse_artifact_runs`]), run present in only one artifact, or
+/// digest divergence.
 pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<String>> {
     let mut errors = Vec::new();
-    if let Err(e) = check_artifact_schema(baseline, "baseline") {
-        errors.push(e);
-    }
-    if let Err(e) = check_artifact_schema(candidate, "candidate") {
-        errors.push(e);
-    }
-    if !errors.is_empty() {
+    let mut read = |text: &str, what: &str| {
+        let runs = check_artifact_schema(text, what)
+            .and_then(|()| parse_artifact_runs(text).map_err(|e| format!("{what}: {e}")));
+        runs.map_err(|e| errors.push(e)).ok()
+    };
+    let (Some(base_runs), Some(cand_runs)) =
+        (read(baseline, "baseline"), read(candidate, "candidate"))
+    else {
         return Err(errors);
-    }
-
-    let base_runs = parse_artifact_runs(baseline);
-    let cand_runs = parse_artifact_runs(candidate);
+    };
     let mut rows = String::new();
     use std::fmt::Write as _;
     let _ = writeln!(
@@ -499,7 +531,6 @@ pub fn execute(spec: &RunSpec) -> RunRecord {
         } else {
             0.0
         },
-        shards: run.shards,
         engine_shards: run.engine_shards,
         scheduler: run.scheduler.name(),
         trace_events: run.trace.len(),
@@ -629,7 +660,6 @@ impl SweepReport {
                     .u64("analysis_infos", r.analysis_infos)
                     .u64("events_processed", r.events_processed)
                     .f64("events_per_sec", r.events_per_sec)
-                    .u64("shards", r.shards as u64)
                     .u64("engine_shards", r.engine_shards as u64)
                     .str("scheduler", &r.scheduler)
                     .u64("trace_events", r.trace_events as u64)
@@ -647,12 +677,14 @@ impl SweepReport {
             })
             .collect();
 
-        // Schema 4: run objects gained "shards" and "analysis_ms", and
+        // Schema 4: run objects gained "analysis_ms", and
         // "wall_ms"/"events_per_sec" became engine-only (pre-flight
         // analysis time excluded). "engine_shards" and the
         // "analysis_errors"/"analysis_warnings"/"analysis_infos"
         // per-severity finding counts are additive schema-4 fields
-        // (absent reads as 1 / 0 / 0 / 0). Schema 3: run objects gained
+        // (absent reads as 1 / 0 / 0 / 0); the monitor-shard count
+        // "shards" was written until the monitor plane lost its threads
+        // and is ignored on read. Schema 3: run objects gained
         // "workload" and renamed "jobs_sent" to the workload-agnostic
         // "work_units".
         let mut root = json::JsonObject::new();
@@ -1030,7 +1062,6 @@ mod tests {
     #[test]
     fn record_separates_engine_and_analysis_time() {
         let rec = execute(&tiny_spec("t", 7, 600_000));
-        assert_eq!(rec.shards, 1);
         assert!(rec.analysis_ms >= 0.0);
         assert!(rec.wall_ms >= 0.0);
         assert!(rec.events_per_sec > 0.0);
@@ -1044,7 +1075,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
         assert!(json.contains("\"analysis_ms\""));
-        assert!(json.contains("\"shards\": 1"));
         assert!(json.contains("\"engine_shards\": 1"));
     }
 
@@ -1058,7 +1088,7 @@ mod tests {
             1,
         );
         let json = report.to_json();
-        let runs = parse_artifact_runs(&json);
+        let runs = parse_artifact_runs(&json).unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].label, "a");
         assert_eq!(runs[0].trace_digest, report.records[0].trace_digest);
@@ -1100,6 +1130,95 @@ mod tests {
         assert!(aggregate.contains("2667"), "{aggregate}");
         assert!(aggregate.contains("1.41x"), "{aggregate}");
         assert!(aggregate.contains("geometric mean"), "{aggregate}");
+    }
+
+    /// A schema-4 artifact with one run per `(label, digest)` pair, in
+    /// the writer's one-field-per-line layout.
+    fn fixture(runs: &[(&str, &str)]) -> String {
+        let mut text = format!("{{\n\"schema_version\": {SCHEMA_VERSION},\n");
+        for (label, digest) in runs {
+            text.push_str(&format!(
+                "\"label\": \"{label}\",\n\"wall_ms\": 2.5,\n\
+                 \"events_per_sec\": 1000,\n\"trace_digest\": \"{digest}\",\n"
+            ));
+        }
+        text + "}\n"
+    }
+
+    #[test]
+    fn compare_refuses_minified_artifacts() {
+        // One line per artifact: the line reader finds no run, which
+        // must not read as an empty, passing comparison.
+        let minify = |text: String| text.replace('\n', " ");
+        let a = minify(fixture(&[("a", "aaaaaaaaaaaaaaaa")]));
+        let b = minify(fixture(&[("a", "bbbbbbbbbbbbbbbb")]));
+        let errs = compare_artifacts(&a, &b).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(
+            errs[0].starts_with("baseline: artifact has no runs"),
+            "{errs:?}"
+        );
+        assert!(
+            errs[1].starts_with("candidate: artifact has no runs"),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn compare_refuses_malformed_numbers() {
+        let good = fixture(&[("a", "aaaaaaaaaaaaaaaa")]);
+        let bad = good.replace("\"events_per_sec\": 1000", "\"events_per_sec\": \"fast\"");
+        let errs = compare_artifacts(&good, &bad).unwrap_err();
+        assert_eq!(
+            errs,
+            vec!["candidate: run 'a' has a malformed events_per_sec (\"fast\")".to_owned()]
+        );
+        let bad = good.replace("\"wall_ms\": 2.5", "\"wall_ms\": 2.5.1");
+        assert!(parse_artifact_runs(&bad)
+            .unwrap_err()
+            .contains("malformed wall_ms"));
+        let bad = good.replace(
+            "\"wall_ms\": 2.5,",
+            "\"wall_ms\": 2.5,\n\"analysis_errors\": -1,",
+        );
+        assert!(parse_artifact_runs(&bad)
+            .unwrap_err()
+            .contains("malformed analysis_errors"));
+    }
+
+    #[test]
+    fn compare_refuses_runs_without_a_digest() {
+        let good = fixture(&[("a", "aaaaaaaaaaaaaaaa"), ("b", "bbbbbbbbbbbbbbbb")]);
+        let bad: String = good
+            .lines()
+            .filter(|l| !l.contains("bbbbbbbbbbbbbbbb"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let errs = compare_artifacts(&bad, &good).unwrap_err();
+        assert_eq!(
+            errs,
+            vec!["baseline: run 'b' has no trace_digest".to_owned()]
+        );
+        let no_wall = good.replace("\"wall_ms\": 2.5,\n", "");
+        assert_eq!(
+            parse_artifact_runs(&no_wall).unwrap_err(),
+            "run 'a' has no wall_ms"
+        );
+    }
+
+    #[test]
+    fn artifacts_with_the_retired_shards_field_still_compare() {
+        // Written before the monitor plane lost its threads: every run
+        // carries "shards": 1.
+        let committed = include_str!("../../../artifacts/BENCH_2026-08-09.json");
+        assert!(committed.contains("\"shards\": 1"));
+        let runs = parse_artifact_runs(committed).unwrap();
+        assert!(runs.iter().any(|r| r.label == "V1"));
+        assert!(compare_artifacts(committed, committed).is_ok());
+        // …and against an artifact without the field.
+        let current = fixture(&[("a", "aaaaaaaaaaaaaaaa")]);
+        let legacy = current.replace("\"wall_ms\"", "\"shards\": 1,\n\"wall_ms\"");
+        assert!(compare_artifacts(&legacy, &current).is_ok());
     }
 
     #[test]
@@ -1190,7 +1309,7 @@ mod tests {
             .filter(|l| !l.contains("\"scheduler\""))
             .collect::<Vec<_>>()
             .join("\n");
-        assert_eq!(parse_artifact_runs(&legacy)[0].scheduler, "rr");
+        assert_eq!(parse_artifact_runs(&legacy).unwrap()[0].scheduler, "rr");
         assert!(compare_artifacts(&legacy, &baseline.to_json()).is_ok());
     }
 

@@ -3,11 +3,11 @@
 //! ```text
 //! harness list
 //! harness sweep <name> [--scale paper|quick] [--workers N] [--seed S]
-//!                      [--shards K] [--engine-shards K] [--horizon-secs T]
+//!                      [--engine-shards K] [--horizon-secs T]
 //!                      [--scheduler SPEC] [--out PATH]
 //!                      [--check-digests FILE] [--write-digests FILE]
 //! harness bench [names…] [--scale paper|quick] [--workers N] [--seed S]
-//!                        [--shards K] [--engine-shards K]
+//!                        [--engine-shards K]
 //!                        [--scheduler SPEC] [--out PATH]
 //!                        [--check-digests FILE]
 //! harness compare <BASELINE.json> <CANDIDATE.json>
@@ -16,18 +16,17 @@
 //!                       [--races]
 //! ```
 //!
-//! `--shards K` runs every job's monitor plane on `K` observer shards
-//! overlapped with the kernel. `--engine-shards K` packs a multi-cluster
-//! machine's per-cluster engine shards onto `K` worker threads
-//! (single-cluster shapes ignore it). Both are behaviourally invisible —
-//! trace digests stay bit-identical to the sequential oracle for any
-//! `K` — so the flags only change wall-clock numbers.
+//! `--engine-shards K` packs a multi-cluster machine's per-cluster
+//! engine shards onto `K` worker threads (single-cluster shapes ignore
+//! it). It is behaviourally invisible — trace digests stay bit-identical
+//! to the sequential engine for any `K` — so the flag only changes
+//! wall-clock numbers.
 //!
 //! `--scheduler SPEC` overrides the kernel scheduling policy on every
 //! run: `rr` (cooperative round-robin, the default), `preempt[:us]`
 //! (fixed-priority with a quantum), `cfs[:us]` (vruntime fair), or
 //! `fuzz[:base[:seed]]` (seeded perturbation of a base policy).
-//! Scheduling — unlike sharding — is behaviourally *visible*: digests
+//! Scheduling — unlike engine sharding — is behaviourally *visible*: digests
 //! only match goldens recorded under the same policy, and artifacts
 //! record the policy so `compare` can refuse cross-scheduler diffs.
 //!
@@ -74,11 +73,11 @@ use suprenum::SchedulerKind;
 const USAGE: &str = "usage:
   harness list
   harness sweep <name> [--scale paper|quick] [--workers N] [--seed S]
-                       [--shards K] [--engine-shards K] [--horizon-secs T]
+                       [--engine-shards K] [--horizon-secs T]
                        [--scheduler SPEC] [--out PATH]
                        [--check-digests FILE] [--write-digests FILE]
   harness bench [names…] [--scale paper|quick] [--workers N] [--seed S]
-                         [--shards K] [--engine-shards K]
+                         [--engine-shards K]
                          [--scheduler SPEC] [--out PATH]
                          [--check-digests FILE]
   harness compare <BASELINE.json> <CANDIDATE.json>
@@ -89,14 +88,13 @@ const USAGE: &str = "usage:
 --horizon-secs caps every run's simulated-time budget (a too-small cap
 truncates the runs; the sweep then exits 2 and marks each record).
 
---shards runs each job's monitor plane on K observer shards overlapped
-with the kernel; --engine-shards packs a multi-cluster machine's
-per-cluster engine shards onto K worker threads. Both keep digests
-bit-identical to the sequential oracle.
+--engine-shards packs a multi-cluster machine's per-cluster engine
+shards onto K worker threads; digests stay bit-identical to the
+sequential engine.
 
 --scheduler overrides the kernel scheduling policy on every run:
 rr | preempt[:quantum_us] | cfs[:quantum_us] | fuzz[:base[:seed]].
-Unlike sharding this is behaviourally visible — only compare digests
+Unlike engine sharding this is behaviourally visible — only compare digests
 recorded under the same policy. Artifacts record the policy.
 
 bench defaults to the fig10 and smoke sweeps and writes the combined
@@ -118,7 +116,6 @@ struct Args {
     scale: Scale,
     workers: usize,
     seed: u64,
-    shards: Option<usize>,
     engine_shards: Option<usize>,
     horizon_secs: Option<u64>,
     scheduler: Option<SchedulerKind>,
@@ -144,7 +141,6 @@ fn parse_sweep_args(rest: &[String]) -> Result<Args, String> {
         scale: Scale::Paper,
         workers: default_workers(),
         seed: 1992,
-        shards: None,
         engine_shards: None,
         horizon_secs: None,
         scheduler: None,
@@ -172,15 +168,6 @@ fn parse_sweep_args(rest: &[String]) -> Result<Args, String> {
             }
             "--seed" => {
                 args.seed = value()?.parse().map_err(|_| "--seed needs an integer")?;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--shards needs a positive integer")?,
-                );
             }
             "--engine-shards" => {
                 args.engine_shards = Some(
@@ -213,7 +200,6 @@ struct BenchArgs {
     scale: Scale,
     workers: usize,
     seed: u64,
-    shards: Option<usize>,
     engine_shards: Option<usize>,
     scheduler: Option<SchedulerKind>,
     out: Option<PathBuf>,
@@ -226,7 +212,6 @@ fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
         scale: Scale::Paper,
         workers: default_workers(),
         seed: 1992,
-        shards: None,
         engine_shards: None,
         scheduler: None,
         out: None,
@@ -253,15 +238,6 @@ fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
             }
             "--seed" => {
                 args.seed = value()?.parse().map_err(|_| "--seed needs an integer")?;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--shards needs a positive integer")?,
-                );
             }
             "--engine-shards" => {
                 args.engine_shards = Some(
@@ -363,11 +339,6 @@ fn main() -> ExitCode {
                         .override_horizon(des::time::SimTime::from_secs(secs));
                 }
             }
-            if let Some(shards) = args.shards {
-                for spec in &mut sweep.runs {
-                    spec.job.override_shards(shards);
-                }
-            }
             if let Some(engine_shards) = args.engine_shards {
                 for spec in &mut sweep.runs {
                     spec.job.override_engine_shards(engine_shards);
@@ -379,12 +350,10 @@ fn main() -> ExitCode {
                 }
             }
             eprintln!(
-                "running sweep '{}' ({} runs) on {} worker(s), {} monitor shard(s), \
-                 {} engine shard(s){}…",
+                "running sweep '{}' ({} runs) on {} worker(s), {} engine shard(s){}…",
                 sweep.name,
                 sweep.runs.len(),
                 args.workers,
-                args.shards.unwrap_or(1),
                 args.engine_shards.unwrap_or(1),
                 match &args.scheduler {
                     Some(s) => format!(", scheduler {s}"),
@@ -454,11 +423,6 @@ fn main() -> ExitCode {
                 let Some(mut sweep) = sweeps::by_name(name, args.scale, args.seed) else {
                     return usage_error(&format!("unknown sweep '{name}'"));
                 };
-                if let Some(shards) = args.shards {
-                    for spec in &mut sweep.runs {
-                        spec.job.override_shards(shards);
-                    }
-                }
                 if let Some(engine_shards) = args.engine_shards {
                     for spec in &mut sweep.runs {
                         spec.job.override_engine_shards(engine_shards);

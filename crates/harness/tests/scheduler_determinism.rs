@@ -4,7 +4,7 @@
 //! Two properties guard the refactor. First, round-robin is the
 //! pre-refactor semantics: explicitly overriding a job to `rr` must be
 //! a bit-identical no-op against the default, across every worker
-//! count, monitor-shard count, and engine-shard packing — the digests
+//! count and engine-shard packing — the digests
 //! are the same ones the golden files pin. Second, `fuzz:<base>:<seed>`
 //! must be a pure function of the seed: the same seed reproduces the
 //! same digest regardless of how the harness parallelises the runs,
@@ -20,7 +20,7 @@ use suprenum::SchedulerKind;
 
 /// A small instrumented ray run: kernel events on, so the digest is
 /// sensitive to every dispatch decision the policy makes.
-fn ray_spec(shards: usize) -> RunSpec {
+fn ray_spec() -> RunSpec {
     let mut app = AppConfig::version(Version::V4);
     app.servants = 3;
     app.scene = SceneKind::Quickstart;
@@ -32,9 +32,8 @@ fn ray_spec(shards: usize) -> RunSpec {
     app.kernel_events = true;
     let mut cfg = PipelineConfig::new(app.clone());
     cfg.seed = 1992;
-    cfg.shards = shards;
     RunSpec {
-        label: format!("V4-s{shards}"),
+        label: "V4".to_owned(),
         job: Job::new(cfg),
         version: Some(Version::V4),
         app: Some(app),
@@ -44,7 +43,7 @@ fn ray_spec(shards: usize) -> RunSpec {
 }
 
 /// A two-cluster Jacobi run, so the parallel engine path is covered.
-fn jacobi_spec(shards: usize) -> RunSpec {
+fn jacobi_spec() -> RunSpec {
     let mut cfg = PipelineConfig::new(JacobiConfig {
         workers: 18,
         cells_per_worker: 8,
@@ -52,9 +51,8 @@ fn jacobi_spec(shards: usize) -> RunSpec {
         ..JacobiConfig::default()
     });
     cfg.seed = 1992;
-    cfg.shards = shards;
     RunSpec {
-        label: format!("jacobi-s{shards}"),
+        label: "jacobi".to_owned(),
         job: Job::new(cfg),
         version: None,
         app: None,
@@ -63,11 +61,11 @@ fn jacobi_spec(shards: usize) -> RunSpec {
     }
 }
 
-fn spec(workload: usize, shards: usize) -> RunSpec {
+fn spec(workload: usize) -> RunSpec {
     if workload == 0 {
-        ray_spec(shards)
+        ray_spec()
     } else {
-        jacobi_spec(shards)
+        jacobi_spec()
     }
 }
 
@@ -76,10 +74,10 @@ fn spec(workload: usize, shards: usize) -> RunSpec {
 #[test]
 fn explicit_round_robin_override_is_a_digest_noop() {
     for workload in 0..2 {
-        let oracle = execute(&spec(workload, 1));
+        let oracle = execute(&spec(workload));
         assert!(!oracle.truncated, "{} truncated", oracle.label);
         assert_eq!(oracle.scheduler, "rr", "default policy must be rr");
-        let mut overridden = spec(workload, 1);
+        let mut overridden = spec(workload);
         overridden.job.override_scheduler(SchedulerKind::RoundRobin);
         let run = execute(&overridden);
         assert_eq!(
@@ -97,17 +95,16 @@ fn explicit_round_robin_override_is_a_digest_noop() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// RR digests are bit-identical across worker counts × monitor
-    /// shards × engine shards, with the policy explicitly pinned.
+    /// RR digests are bit-identical across worker counts × engine
+    /// shards, with the policy explicitly pinned.
     #[test]
     fn round_robin_digests_survive_any_parallelisation(
         workload in 0usize..2,
         engine_shards in 1usize..=4,
-        shards in 1usize..=4,
         workers in 1usize..4,
     ) {
-        let oracle = execute(&spec(workload, 1));
-        let mut run_spec = spec(workload, shards);
+        let oracle = execute(&spec(workload));
+        let mut run_spec = spec(workload);
         run_spec.job.override_scheduler(SchedulerKind::RoundRobin);
         run_spec.job.override_engine_shards(engine_shards);
         let sweep = Sweep {
@@ -124,13 +121,12 @@ proptest! {
 
     /// Fuzzed scheduling is a pure function of the seed: for any base
     /// policy and seed, the digest is reproducible across worker
-    /// counts and monitor shards.
+    /// counts.
     #[test]
     fn fuzz_digests_are_reproducible_per_seed(
         workload in 0usize..2,
         base_is_preemptive in any::<bool>(),
         seed in 0u64..1_000,
-        shards in 1usize..=3,
         workers in 1usize..4,
     ) {
         let base = if base_is_preemptive {
@@ -145,11 +141,11 @@ proptest! {
             seed,
         };
 
-        let mut oracle_spec = spec(workload, 1);
+        let mut oracle_spec = spec(workload);
         oracle_spec.job.override_scheduler(kind.clone());
         let oracle = execute(&oracle_spec);
 
-        let mut run_spec = spec(workload, shards);
+        let mut run_spec = spec(workload);
         run_spec.job.override_scheduler(kind.clone());
         let sweep = Sweep {
             name: "sched-fuzz-prop".into(),

@@ -1,17 +1,13 @@
-//! Satellite: monitor-plane sharding and engine-thread packing are
-//! behaviourally invisible.
+//! Engine-thread packing is behaviourally invisible.
 //!
 //! For every stock workload shape — the four ray-tracer versions, the
 //! SPMD Jacobi solver, and a two-cluster Jacobi shape that exercises
 //! the parallel per-cluster engine — the per-run trace digest must be
-//! bit-identical whether the ZM4 observers run inline with the kernel
-//! (one shard, the sequential oracle) or split across N shards
-//! overlapped with it, whether the engine shards run on the calling
-//! thread or on K worker threads, and regardless of how many harness
-//! worker threads host the runs. A digest divergence here means the
-//! sharded monitor plane or the threaded engine changed simulated
-//! behaviour — exactly what the conservative-lookahead windows exist
-//! to prevent.
+//! bit-identical whether the engine shards run on the calling thread or
+//! on K worker threads, and regardless of how many harness worker
+//! threads host the runs. A digest divergence here means the threaded
+//! engine changed simulated behaviour — exactly what the
+//! conservative-lookahead windows exist to prevent.
 
 use harness::{execute, run_sweep, RunSpec, Sweep};
 use pipeline::jacobi::JacobiConfig;
@@ -21,7 +17,7 @@ use raysim::config::{AppConfig, SceneKind, Version};
 
 /// A small but complete run of one ray-tracer version: quickstart
 /// scene, three servants, per-version queue/bundle shape kept valid.
-fn ray_spec(version: Version, shards: usize) -> RunSpec {
+fn ray_spec(version: Version) -> RunSpec {
     let mut app = AppConfig::version(version);
     app.servants = 3;
     app.scene = SceneKind::Quickstart;
@@ -45,9 +41,8 @@ fn ray_spec(version: Version, shards: usize) -> RunSpec {
     }
     let mut cfg = PipelineConfig::new(app.clone());
     cfg.seed = 1992;
-    cfg.shards = shards;
     RunSpec {
-        label: format!("V{}-s{shards}", version as u8 + 1),
+        label: format!("V{}", version as u8 + 1),
         job: Job::new(cfg),
         version: Some(version),
         app: Some(app),
@@ -58,7 +53,7 @@ fn ray_spec(version: Version, shards: usize) -> RunSpec {
 
 /// A small but complete Jacobi run. 18 workers spans two clusters, so
 /// the cross-shard ring traffic of the parallel engine is exercised.
-fn jacobi_spec(workers: u16, shards: usize) -> RunSpec {
+fn jacobi_spec(workers: u16) -> RunSpec {
     let mut cfg = PipelineConfig::new(JacobiConfig {
         workers,
         cells_per_worker: 8,
@@ -66,9 +61,8 @@ fn jacobi_spec(workers: u16, shards: usize) -> RunSpec {
         ..JacobiConfig::default()
     });
     cfg.seed = 1992;
-    cfg.shards = shards;
     RunSpec {
-        label: format!("jacobi-w{workers}-s{shards}"),
+        label: format!("jacobi-w{workers}"),
         job: Job::new(cfg),
         version: None,
         app: None,
@@ -77,29 +71,32 @@ fn jacobi_spec(workers: u16, shards: usize) -> RunSpec {
     }
 }
 
-/// The six stock workload shapes at a given shard count: four ray
-/// versions, single-cluster Jacobi, two-cluster Jacobi.
-fn spec(workload: usize, shards: usize) -> RunSpec {
+/// The six stock workload shapes: four ray versions, single-cluster
+/// Jacobi, two-cluster Jacobi.
+fn spec(workload: usize) -> RunSpec {
     match workload {
-        0..=3 => ray_spec(Version::ALL[workload], shards),
-        4 => jacobi_spec(4, shards),
-        _ => jacobi_spec(18, shards),
+        0..=3 => ray_spec(Version::ALL[workload]),
+        4 => jacobi_spec(4),
+        _ => jacobi_spec(18),
     }
 }
 
-/// Directed sweep of the whole matrix: every stock shape, shards 1..=4,
-/// every digest identical to the one-shard oracle's.
+/// Directed sweep of the whole matrix: every stock shape at two and
+/// four engine shards, every digest identical to the one-thread
+/// oracle's (single-cluster shapes ignore the knob).
 #[test]
 fn all_stock_shapes_digest_identically_across_shard_counts() {
     for workload in 0..6 {
-        let oracle = execute(&spec(workload, 1));
+        let oracle = execute(&spec(workload));
         assert!(!oracle.truncated, "{} truncated", oracle.label);
-        for shards in 2..=4 {
-            let sharded = execute(&spec(workload, shards));
-            assert_eq!(sharded.shards, shards);
+        for engine_shards in [2, 4] {
+            let mut spec = spec(workload);
+            spec.job.override_engine_shards(engine_shards);
+            let sharded = execute(&spec);
+            assert_eq!(sharded.engine_shards, engine_shards);
             assert_eq!(
                 oracle.trace_digest, sharded.trace_digest,
-                "workload {} diverged at {shards} shards",
+                "workload {} diverged at {engine_shards} engine shards",
                 oracle.label
             );
             assert_eq!(oracle.sim_end_ns, sharded.sim_end_ns);
@@ -111,45 +108,40 @@ fn all_stock_shapes_digest_identically_across_shard_counts() {
 }
 
 /// Directed: on a multi-cluster shape every engine worker-thread count
-/// reproduces the sequential oracle bit for bit, alone and composed
-/// with monitor shards.
+/// reproduces the sequential oracle bit for bit.
 #[test]
 fn engine_thread_packing_never_changes_multi_cluster_digests() {
-    let oracle = execute(&spec(5, 1));
+    let oracle = execute(&spec(5));
     assert!(!oracle.truncated, "{} truncated", oracle.label);
     for engine_shards in [2, 3, 8] {
-        for shards in [1, 3] {
-            let mut spec = spec(5, shards);
-            spec.job.override_engine_shards(engine_shards);
-            let threaded = execute(&spec);
-            assert_eq!(threaded.engine_shards, engine_shards);
-            assert_eq!(
-                oracle.trace_digest, threaded.trace_digest,
-                "{} diverged at {engine_shards} engine shards, {shards} monitor shards",
-                oracle.label
-            );
-            assert_eq!(oracle.sim_end_ns, threaded.sim_end_ns);
-            assert_eq!(oracle.events_processed, threaded.events_processed);
-            assert_eq!(oracle.work_units, threaded.work_units);
-        }
+        let mut spec = spec(5);
+        spec.job.override_engine_shards(engine_shards);
+        let threaded = execute(&spec);
+        assert_eq!(threaded.engine_shards, engine_shards);
+        assert_eq!(
+            oracle.trace_digest, threaded.trace_digest,
+            "{} diverged at {engine_shards} engine shards",
+            oracle.label
+        );
+        assert_eq!(oracle.sim_end_ns, threaded.sim_end_ns);
+        assert_eq!(oracle.events_processed, threaded.events_processed);
+        assert_eq!(oracle.work_units, threaded.work_units);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any (workload, engine-shard count, monitor-shard count, worker
-    /// count) tuple digests the same as the serially-executed
-    /// single-shard oracle.
+    /// Any (workload, engine-shard count, worker count) tuple digests
+    /// the same as the serially-executed one-thread oracle.
     #[test]
     fn shards_and_workers_never_change_digests(
         workload in 0usize..6,
         engine_shards in 1usize..=4,
-        shards in 1usize..=5,
         workers in 1usize..4,
     ) {
-        let oracle = execute(&spec(workload, 1));
-        let mut run_spec = spec(workload, shards);
+        let oracle = execute(&spec(workload));
+        let mut run_spec = spec(workload);
         run_spec.job.override_engine_shards(engine_shards);
         let sweep = Sweep {
             name: "shard-prop".into(),

@@ -4,15 +4,16 @@
 //! perfect; the scheduling-fuzz studies need the opposite assumption —
 //! probes that drop writes, corrupt patterns, and recorders whose
 //! clocks drift. [`FaultConfig`] injects exactly those failures into
-//! the probe-sample stream *between* the machine's signal log and the
-//! ZM4, so the simulated machine itself stays untouched and
+//! the probe-sample stream *between* the machine's display emissions
+//! and the ZM4, so the simulated machine itself stays untouched and
 //! bit-identical.
 //!
 //! Every decision is a pure function of the sample and the fault seed
 //! (an FNV-1a hash of `(channel, time, pattern, seed)`), never of
-//! iteration order or shard assignment — so faulted measurements are
-//! reproducible per seed and identical across monitor-shard and
-//! engine-shard counts, exactly like the un-faulted pipeline.
+//! iteration order — so faulted measurements are reproducible per seed,
+//! identical across engine-shard counts, and the same whether the
+//! samples stream from the emissions or from the time-sorted signal
+//! log, exactly like the un-faulted pipeline.
 
 use des::digest::Fnv64;
 use hybridmon::Pattern;

@@ -30,17 +30,14 @@ pub struct ExecOverrides {
     pub policy: Option<PolicyMode>,
     /// Replaces the configured simulated-time budget.
     pub horizon: Option<SimTime>,
-    /// Replaces the configured monitor-shard count (the CLI's
-    /// `--shards` flag). Sharding is behaviourally invisible, so this
-    /// does not perturb the configuration fingerprint.
-    pub shards: Option<usize>,
     /// Replaces the configured engine worker-thread count (the CLI's
-    /// `--engine-shards` flag). Like monitor sharding, behaviourally
-    /// invisible: multi-cluster machines always partition per cluster,
-    /// and this only packs the shards onto threads.
+    /// `--engine-shards` flag). Behaviourally invisible, so this does
+    /// not perturb the configuration fingerprint: multi-cluster
+    /// machines always partition per cluster, and this only packs the
+    /// shards onto threads.
     pub engine_shards: Option<usize>,
     /// Replaces the configured kernel scheduling policy (the CLI's
-    /// `--scheduler` flag). Unlike sharding this *does* change
+    /// `--scheduler` flag). Unlike engine sharding this *does* change
     /// behaviour; the effective policy is recorded in
     /// [`JobRun::scheduler`] so artifacts stay honest.
     pub scheduler: Option<SchedulerKind>,
@@ -71,8 +68,6 @@ pub struct JobRun {
     /// effective policy was `Off`), so harnesses can record finding
     /// counts per severity next to the measurement.
     pub preflight: Option<PreflightSummary>,
-    /// Monitor-shard count the run actually executed with.
-    pub shards: usize,
     /// Engine worker-thread count the run actually executed with.
     pub engine_shards: usize,
     /// Kernel scheduling policy the run actually executed under.
@@ -92,7 +87,6 @@ pub struct Job {
     seed: u64,
     fingerprint: u64,
     horizon: Option<SimTime>,
-    shards: Option<usize>,
     engine_shards: Option<usize>,
     scheduler: Option<SchedulerKind>,
     faults: Option<FaultConfig>,
@@ -124,9 +118,6 @@ impl Job {
             if let Some(horizon) = ov.horizon {
                 cfg.horizon = horizon;
             }
-            if let Some(shards) = ov.shards {
-                cfg.shards = shards;
-            }
             if let Some(engine_shards) = ov.engine_shards {
                 cfg.engine_shards = engine_shards;
             }
@@ -136,7 +127,6 @@ impl Job {
             if let Some(faults) = ov.faults {
                 cfg.faults = faults;
             }
-            let shards = cfg.shards;
             let engine_shards = cfg.engine_shards;
             let scheduler = cfg.machine.scheduler.clone();
             let workload = cfg.workload.clone();
@@ -157,7 +147,6 @@ impl Job {
                 orders: workload.proven_orders(),
                 analysis: result.analysis,
                 preflight: result.preflight,
-                shards,
                 engine_shards,
                 scheduler,
             })
@@ -167,7 +156,6 @@ impl Job {
             seed,
             fingerprint,
             horizon: None,
-            shards: None,
             engine_shards: None,
             scheduler: None,
             faults: None,
@@ -195,13 +183,6 @@ impl Job {
     /// execution (the CLI's `--horizon-secs`).
     pub fn override_horizon(&mut self, horizon: SimTime) {
         self.horizon = Some(horizon);
-    }
-
-    /// Sets the monitor-shard count for every subsequent execution (the
-    /// CLI's `--shards`). Sharding is behaviourally invisible: traces,
-    /// outcomes and digests stay bit-identical to the sequential oracle.
-    pub fn override_shards(&mut self, shards: usize) {
-        self.shards = Some(shards);
     }
 
     /// Sets the engine worker-thread count for every subsequent
@@ -238,7 +219,6 @@ impl Job {
         (self.exec)(ExecOverrides {
             policy,
             horizon: self.horizon,
-            shards: self.shards,
             engine_shards: self.engine_shards,
             scheduler: self.scheduler.clone(),
             faults: self.faults,
@@ -280,25 +260,6 @@ mod tests {
         assert_eq!(a.outcome.end, b.outcome.end);
         assert_eq!(a.trace.len(), b.trace.len());
         assert!(a.metrics.work_units > 0);
-    }
-
-    #[test]
-    fn shards_override_is_behaviourally_invisible() {
-        let cfg = PipelineConfig::new(JacobiConfig {
-            workers: 4,
-            iterations: 4,
-            cells_per_worker: 8,
-            ..JacobiConfig::default()
-        });
-        let job = Job::new(cfg);
-        let reference = job.run();
-        assert_eq!(reference.shards, 1);
-        let mut sharded = job.clone();
-        sharded.override_shards(2);
-        let run = sharded.run();
-        assert_eq!(run.shards, 2);
-        assert_eq!(reference.outcome, run.outcome);
-        assert_eq!(reference.trace, run.trace);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   application-level output back out of the run;
 //! * [`run_workload`] owns everything that is *not* the application:
 //!   the pre-flight analysis seam, machine sizing and validation, the
-//!   zero-copy ZM4 `observe_iter` probe stream, SIMPLE trace
-//!   conversion, truncation handling, and intrusion accounting;
+//!   ZM4 measurement of the display emissions ([`observe`]), SIMPLE
+//!   trace conversion, truncation handling, and intrusion accounting;
 //! * [`Job`] erases the workload type so a sweep harness can mix
 //!   ray-tracer and Jacobi runs (or anything else) in one queue without
 //!   being generic itself.
@@ -45,8 +45,8 @@
 use des::time::SimTime;
 use hybridmon::IntrusionReport;
 use simple::Trace;
-use suprenum::{Machine, MachineConfig, RunEnd, RunOutcome};
-use zm4::{Measurement, Zm4Config};
+use suprenum::{EmissionRecord, Machine, MachineConfig, RunEnd, RunOutcome, SignalLog};
+use zm4::{Measurement, Zm4, Zm4Config};
 
 pub mod fault;
 pub mod jacobi;
@@ -199,14 +199,6 @@ pub struct PipelineConfig<W: Workload> {
     /// only the monitor's view of the run, never the machine itself,
     /// and is deterministic per fault seed.
     pub faults: FaultConfig,
-    /// Monitor-plane shards. `1` (the default) runs the fully inline
-    /// sequential pipeline — the differential oracle. `2..` defers
-    /// display materialization in the kernel and fans the emission
-    /// stream out to that many observer shards on worker threads,
-    /// overlapped with the simulation via watermarked release windows.
-    /// The measurement is bit-identical for every shard count (the
-    /// shard count is capped at the monitor's recorder count).
-    pub shards: usize,
     /// Engine worker threads for multi-cluster machines. A
     /// multi-cluster kernel always partitions its state per cluster and
     /// runs conservative parallel discrete-event simulation over the
@@ -229,7 +221,6 @@ impl<W: Workload> std::fmt::Debug for PipelineConfig<W> {
             .field("horizon", &self.horizon)
             .field("preflight", &self.preflight)
             .field("faults", &self.faults)
-            .field("shards", &self.shards)
             .field("engine_shards", &self.engine_shards)
             .finish()
     }
@@ -270,7 +261,6 @@ impl<W: Workload> PipelineConfig<W> {
             horizon: SimTime::from_secs(3_600),
             preflight: Preflight::off(),
             faults: FaultConfig::default(),
-            shards: 1,
             engine_shards: 1,
         }
     }
@@ -280,10 +270,10 @@ impl<W: Workload> PipelineConfig<W> {
     /// artifact provenance. The pre-flight policy is excluded: it
     /// carries function pointers whose addresses vary between builds,
     /// and it does not change the measured behaviour under
-    /// `Off`/`Warn`. The monitor and engine shard counts are also
-    /// excluded: every shard count produces a bit-identical
-    /// measurement, so runs at different counts are comparable by
-    /// construction. A no-op fault configuration is excluded too, so
+    /// `Off`/`Warn`. The engine shard count is also excluded: every
+    /// count produces a bit-identical run, so runs at different counts
+    /// are comparable by construction. A no-op fault configuration is
+    /// excluded too, so
     /// fingerprints of un-faulted runs are stable across versions that
     /// predate the fault layer.
     pub fn fingerprint(&self) -> u64 {
@@ -374,7 +364,7 @@ impl From<PreflightDenied> for PipelineError {
 /// Runs one full measurement without panicking: pre-flight analysis
 /// (per the configured policy), workload and machine validation, the
 /// application on the simulated machine, the ZM4 over the display
-/// probe stream, and the SIMPLE trace conversion.
+/// emissions ([`observe`]), and the SIMPLE trace conversion.
 ///
 /// # Errors
 ///
@@ -384,11 +374,6 @@ impl From<PreflightDenied> for PipelineError {
 pub fn try_run_workload<W: Workload>(
     cfg: PipelineConfig<W>,
 ) -> Result<PipelineResult<W>, PipelineError> {
-    if cfg.shards == 0 {
-        return Err(PipelineError::Invalid(
-            "pipeline needs at least one monitor shard".into(),
-        ));
-    }
     if cfg.engine_shards == 0 {
         return Err(PipelineError::Invalid(
             "pipeline needs at least one engine shard".into(),
@@ -420,12 +405,6 @@ pub fn try_run_workload<W: Workload>(
         // machine configuration per run.
         machine_cfg.kernel_instrumentation = true;
     }
-    let sharded = cfg.shards > 1;
-    if sharded {
-        // The kernel records compact emissions; the observer shards
-        // expand them off the critical path. Bit-identical either way.
-        machine_cfg.deferred_display = true;
-    }
     let mut machine = Machine::new(machine_cfg, cfg.seed)
         .map_err(|e| PipelineError::Invalid(format!("invalid machine configuration: {e:?}")))?;
     machine.set_engine_shards(cfg.engine_shards);
@@ -434,21 +413,8 @@ pub fn try_run_workload<W: Workload>(
     let channels = cfg.workload.channels(&machine);
     let monitor = cfg.zm4.build(channels, cfg.seed);
 
-    let faults = cfg.faults;
-    let (outcome, measurement) = if sharded {
-        run_sharded(&mut machine, &monitor, cfg.shards, cfg.horizon, faults)
-    } else {
-        // The sequential oracle: run to completion, then probe the
-        // displays in one pass. The signal log is already time-sorted
-        // (per channel, because globally), so the sample stream flows
-        // through the monitor without a materialized sample vector.
-        // Fault injection is per-sample and per-channel monotone, so
-        // the faulted stream keeps the same feed-order precondition.
-        let outcome = machine.run(cfg.horizon);
-        let measurement = monitor
-            .observe_iter(trace::probe_sample_iter(&machine).filter_map(move |s| faults.apply(s)));
-        (outcome, measurement)
-    };
+    let outcome = machine.run(cfg.horizon);
+    let measurement = observe(&monitor, machine.emissions(), cfg.faults);
     let trace = to_simple_trace(&measurement);
 
     let output = harvest(&machine);
@@ -466,65 +432,45 @@ pub fn try_run_workload<W: Workload>(
     })
 }
 
-/// Kernel events handled between monitor-plane release windows. Large
-/// enough that the per-window synchronization (a channel send per
-/// shard) is noise; small enough that shards stay busy while the
-/// kernel runs.
-const OBSERVE_WINDOW_EVENTS: u64 = 8_192;
-
-/// The sharded monitor plane: the kernel defers display materialization
-/// into compact emission records; observer shards expand each record
-/// into its probe samples and run detection + recording concurrently
-/// with the simulation. Watermarked releases (every
-/// [`OBSERVE_WINDOW_EVENTS`] kernel events) let shards process the
-/// stream in time order while the kernel keeps running.
-fn run_sharded(
-    machine: &mut Machine,
-    monitor: &zm4::Zm4,
-    shards: usize,
-    horizon: SimTime,
-    faults: FaultConfig,
-) -> (RunOutcome, Measurement) {
-    let observers = monitor.shard_observers(shards);
-    // Channel (= node index) → stream shard routing.
-    let mut shard_of = vec![0usize; monitor.channels()];
-    for (i, obs) in observers.iter().enumerate() {
-        for ch in obs.channels() {
-            shard_of[ch] = i;
-        }
+/// The ZM4 measurement of a run's display emissions (see
+/// [`Machine::emissions`]) as seen through the probe-plane `faults`.
+///
+/// A fault-free probe plane delivers every emission's 32 pattern writes
+/// whole and uninterleaved — the kernel serializes each node's display
+/// — so each emission is exactly one detected event, and the events go
+/// straight to the recorders ([`zm4::Zm4::observe_decoded`]). With
+/// faults, each emission's writes stream through the fault model into
+/// the pattern-level detectors ([`zm4::Zm4::observe_iter`]), which then
+/// see the drops, corruptions and clock drift.
+///
+/// Debug builds also run the pattern-level path over the time-sorted
+/// signal log on fault-free runs and assert that both measurements are
+/// identical, so every test that runs a workload checks the direct
+/// decoding — and the display serialization it rests on — against its
+/// oracle.
+pub fn observe(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
+    if !faults.is_noop() {
+        return monitor
+            .observe_iter(trace::emission_samples(emissions).filter_map(|s| faults.apply(s)));
     }
-    let mut stream = des::shard::ShardStream::spawn(
-        observers,
-        move |obs: &mut zm4::ObserverShard, _shard, _at, rec: suprenum::EmissionRecord| {
-            for w in rec.writes() {
-                // The same pure per-sample fault verdicts as the
-                // sequential oracle — shard routing can't move a fault.
-                let sample = zm4::ProbeSample {
-                    time: w.time,
-                    channel: w.node.index() as usize,
-                    pattern: w.pattern,
-                };
-                if let Some(sample) = faults.apply(sample) {
-                    obs.feed(sample);
-                }
-            }
-        },
-    );
-    let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |now, emissions| {
-        for rec in emissions.drain(..) {
-            // Safe by the kernel's watermark guarantee: every emission
-            // recorded after the previous window's release lies strictly
-            // after that watermark.
-            stream.push(
-                shard_of[rec.node.index() as usize],
-                rec.first_write_at(),
-                rec,
-            );
-        }
-        stream.release(now);
-    });
-    let measurement = monitor.assemble(stream.finish());
-    (outcome, measurement)
+    let measurement = monitor.observe_decoded(trace::decoded_events(
+        emissions,
+        monitor.config().detector_latency,
+    ));
+    if cfg!(debug_assertions) {
+        let log = SignalLog::from_streams(emissions.iter().flat_map(EmissionRecord::writes), []);
+        let oracle = monitor.observe_iter(
+            log.display_writes()
+                .iter()
+                .copied()
+                .map(trace::probe_sample),
+        );
+        assert!(
+            measurement == oracle,
+            "direct decoding diverged from the pattern-level monitor"
+        );
+    }
+    measurement
 }
 
 /// Runs one full measurement.
@@ -576,14 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_refused() {
-        let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
-        cfg.shards = 0;
-        let err = try_run_workload(cfg).unwrap_err();
-        assert!(err.to_string().contains("shard"));
-    }
-
-    #[test]
     fn zero_engine_shards_is_refused() {
         let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
         cfg.engine_shards = 0;
@@ -595,7 +533,6 @@ mod tests {
     fn fingerprint_ignores_shard_counts() {
         let a = PipelineConfig::new(jacobi::JacobiConfig::default());
         let mut b = a.clone();
-        b.shards = 4;
         b.engine_shards = 8;
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
@@ -632,25 +569,6 @@ mod tests {
             );
             assert_eq!(run.intrusion, reference.intrusion, "{engine_shards} shards");
         }
-    }
-
-    #[test]
-    fn engine_and_monitor_shards_compose() {
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 18,
-            iterations: 3,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        assert!(reference.completed());
-        let mut cfg = base;
-        cfg.shards = 2;
-        cfg.engine_shards = 2;
-        let run = run_workload(cfg);
-        assert_eq!(run.outcome, reference.outcome);
-        assert_eq!(run.measurement.trace, reference.measurement.trace);
-        assert_eq!(run.trace, reference.trace);
-        assert_eq!(run.intrusion, reference.intrusion);
     }
 
     #[test]
@@ -704,47 +622,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_the_sequential_oracle_bit_for_bit() {
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 5,
-            iterations: 6,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        assert!(reference.completed());
-        assert!(!reference.measurement.trace.is_empty());
-
-        for shards in 2..=4 {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            let sharded = run_workload(cfg);
-            assert_eq!(sharded.outcome, reference.outcome, "{shards} shards");
-            assert_eq!(
-                sharded.measurement.trace, reference.measurement.trace,
-                "{shards} shards"
-            );
-            assert_eq!(
-                sharded.measurement.recorder_stats, reference.measurement.recorder_stats,
-                "{shards} shards"
-            );
-            assert_eq!(
-                sharded.measurement.detector_stats, reference.measurement.detector_stats,
-                "{shards} shards"
-            );
-            assert_eq!(sharded.trace, reference.trace, "{shards} shards");
-            assert_eq!(
-                sharded.output.max_error, reference.output.max_error,
-                "{shards} shards"
-            );
-            assert_eq!(sharded.intrusion, reference.intrusion, "{shards} shards");
-        }
-    }
-
-    #[test]
     fn fault_injection_perturbs_only_the_measurement_and_is_shard_invariant() {
+        // 18 workers span two clusters, so engine shards are real.
         let mut base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 5,
-            iterations: 6,
+            workers: 18,
+            iterations: 3,
             ..jacobi::JacobiConfig::default()
         });
         base.faults = FaultConfig {
@@ -767,17 +649,27 @@ mod tests {
             faulted.measurement.trace, clean.measurement.trace,
             "faults must perturb the measurement"
         );
-        // Deterministic per seed and identical across shard counts.
-        for (shards, engine_shards) in [(1, 1), (2, 1), (3, 1)] {
+        // Deterministic per seed and identical across engine shard
+        // counts.
+        for engine_shards in [2, 3] {
             let mut cfg = base.clone();
-            cfg.shards = shards;
             cfg.engine_shards = engine_shards;
             let run = run_workload(cfg);
             assert_eq!(
-                run.measurement.trace, faulted.measurement.trace,
-                "{shards} monitor shards"
+                run.measurement, faulted.measurement,
+                "{engine_shards} engine shards"
             );
         }
+        // Streaming the emissions' writes measures exactly what the
+        // time-sorted signal log does: faults are pure per sample.
+        let monitor = base
+            .zm4
+            .build(base.workload.channels(&faulted.machine), base.seed);
+        let faults = base.faults;
+        let from_log = monitor.observe_iter(
+            trace::probe_sample_iter(&faulted.machine).filter_map(|s| faults.apply(s)),
+        );
+        assert_eq!(from_log, faulted.measurement);
         // A different fault seed moves the fault sites.
         let mut reseeded = base.clone();
         reseeded.faults.seed = 8;
@@ -797,21 +689,5 @@ mod tests {
         let mut clean = cfg.clone();
         clean.faults = FaultConfig::default();
         clean.fingerprint()
-    }
-
-    #[test]
-    fn shard_counts_beyond_recorders_still_work() {
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 3,
-            iterations: 4,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        // 4 nodes → 1 recorder → the shard count clips to 1 observer.
-        let mut cfg = base;
-        cfg.shards = 16;
-        let sharded = run_workload(cfg);
-        assert_eq!(sharded.measurement.trace, reference.measurement.trace);
-        assert_eq!(sharded.outcome, reference.outcome);
     }
 }

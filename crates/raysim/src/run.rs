@@ -61,10 +61,6 @@ pub struct RunConfig {
     pub horizon: SimTime,
     /// Pre-flight static analysis policy.
     pub preflight: PreflightPolicy,
-    /// Monitor-plane observer shards (1 = the sequential oracle).
-    /// Sharding is behaviourally invisible: traces and outcomes stay
-    /// bit-identical for any count.
-    pub shards: usize,
 }
 
 impl RunConfig {
@@ -85,7 +81,6 @@ impl RunConfig {
             seed: 1992,
             horizon: SimTime::from_secs(3_600),
             preflight: PreflightPolicy::default(),
-            shards: 1,
         }
     }
 
@@ -101,7 +96,6 @@ impl RunConfig {
             seed: self.seed,
             horizon: self.horizon,
             preflight: Preflight::off(),
-            shards: self.shards,
             engine_shards: 1,
             faults: pipeline::FaultConfig::default(),
         }
@@ -322,22 +316,6 @@ mod tests {
         assert_eq!(
             legacy.image.mean_luminance(),
             generic.output.image.mean_luminance()
-        );
-    }
-
-    // Sharding the monitor plane through the facade must not perturb
-    // the measurement at all.
-    #[test]
-    fn sharded_facade_matches_the_oracle() {
-        let reference = run(tiny_cfg());
-        let mut cfg = tiny_cfg();
-        cfg.shards = 2;
-        let sharded = run(cfg);
-        assert_eq!(reference.outcome, sharded.outcome);
-        assert_eq!(reference.trace, sharded.trace);
-        assert_eq!(
-            reference.image.mean_luminance(),
-            sharded.image.mean_luminance()
         );
     }
 

@@ -109,16 +109,6 @@ pub struct MachineConfig {
     pub kernel_event_cost: SimDuration,
     /// Per-event intrusion costs.
     pub monitor_costs: MonitorCosts,
-    /// Defer hybrid-monitoring display materialization: instead of
-    /// pushing every pattern write into the signal log inline, the
-    /// kernel records compact
-    /// [`EmissionRecord`](crate::emission::EmissionRecord)s that a
-    /// monitor-plane consumer drains during the run (or that expand
-    /// lazily when the run ends). Behaviourally invisible — the expanded
-    /// log is bit-identical — but it moves ~97 % of the emission work
-    /// off the kernel's critical path so it can overlap with monitor
-    /// shards. Only meaningful under hybrid monitoring.
-    pub deferred_display: bool,
     /// Capacity of each node's software-monitoring buffer (records).
     pub software_buffer_capacity: usize,
     /// Maximum initial offset of a node's local clock (software
@@ -189,7 +179,6 @@ impl MachineConfig {
             kernel_instrumentation: false,
             kernel_event_cost: SimDuration::from_micros(110),
             monitor_costs: MonitorCosts::paper_defaults(),
-            deferred_display: false,
             software_buffer_capacity: 1 << 16,
             node_clock_max_offset: SimDuration::from_millis(5),
             node_clock_max_drift_ppm: 50.0,

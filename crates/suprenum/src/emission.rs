@@ -1,21 +1,14 @@
-//! Deferred display emissions: the compact form of a hybrid-monitoring
-//! instrumentation event before its 32-pattern display sequence exists.
+//! Display emissions: the compact form of a hybrid-monitoring
+//! instrumentation event, before its 32-pattern display sequence exists.
 //!
-//! Materializing every [`DisplayWrite`] inline dominates the kernel's
-//! run time on instrumented workloads (each emission expands to
-//! [`WRITES_PER_EVENT`] log entries). With
-//! [`MachineConfig::deferred_display`](crate::MachineConfig::deferred_display)
-//! set, the kernel instead records one [`EmissionRecord`] per emission —
-//! the start time, pattern spacing, node, and 48-bit payload — and the
-//! expansion happens later, off the kernel's critical path: either on
-//! the monitor-plane shard threads (the parallel pipeline) or lazily at
-//! the end of the run (anything that still reads
-//! [`Machine::signals`](crate::Machine::signals)).
-//!
-//! [`EmissionRecord::writes`] reproduces the inline path's arithmetic
-//! exactly — same start, same spacing, same pattern sequence — so the
-//! expanded log is bit-identical to what the inline path would have
-//! pushed, and every downstream digest is unchanged.
+//! The kernel records one [`EmissionRecord`] per emission — the start
+//! time, pattern spacing, node, and 48-bit payload — and nothing else:
+//! materializing every [`DisplayWrite`] would multiply the run's
+//! display traffic by [`WRITES_PER_EVENT`]. The monitor pipeline
+//! decodes fault-free runs straight from the records; the pattern-level
+//! path (fault injection, and every reader of
+//! [`Machine::signals`](crate::Machine::signals)) expands them with
+//! [`EmissionRecord::writes`].
 
 use des::time::{SimDuration, SimTime};
 use hybridmon::encode::{encode, WRITES_PER_EVENT};
@@ -42,13 +35,12 @@ pub struct EmissionRecord {
 }
 
 impl EmissionRecord {
-    /// Time of the first display write of this emission. Per node,
-    /// first-write times are strictly increasing (the kernel's display
-    /// serializer spaces emissions at least `spacing × 33` apart), which
-    /// makes them a valid per-channel release order for the monitor
-    /// plane.
-    pub fn first_write_at(&self) -> SimTime {
-        self.start + self.spacing
+    /// Time of the last display write of this emission — the pattern
+    /// that completes the event at the detector. Per node, emissions
+    /// never overlap: the kernel's display serializer starts the next
+    /// one no earlier than `spacing` after this write.
+    pub fn last_write_at(&self) -> SimTime {
+        self.start + self.spacing * WRITES_PER_EVENT as u64
     }
 
     /// The event this emission encodes.
@@ -56,9 +48,8 @@ impl EmissionRecord {
         MonEvent::new(self.token, self.param)
     }
 
-    /// Expands the emission into its exact display-write sequence —
-    /// bit-identical to what the inline (non-deferred) kernel path
-    /// pushes into the signal log.
+    /// Expands the emission into its display-write sequence: pattern
+    /// `i` of the encoding lands at `start + spacing × (i + 1)`.
     pub fn writes(&self) -> impl Iterator<Item = DisplayWrite> + '_ {
         encode(self.event())
             .into_iter()
@@ -91,7 +82,7 @@ mod tests {
         };
         let writes: Vec<DisplayWrite> = rec.writes().collect();
         assert_eq!(writes.len(), WRITES_PER_EVENT);
-        assert_eq!(rec.first_write_at(), writes[0].time);
+        assert_eq!(rec.last_write_at(), writes[WRITES_PER_EVENT - 1].time);
         for (i, w) in writes.iter().enumerate() {
             assert_eq!(
                 w.time,

@@ -20,10 +20,12 @@
 //!
 //! Instrumentation ([`Action::Emit`]) is dispatched to the configured
 //! monitoring technique: hybrid monitoring writes the encoded pattern
-//! sequence to the node's seven-segment display (externally observable in
-//! the [`SignalLog`]), terminal monitoring serializes the event over the
-//! V.24 interface, software monitoring appends to a node-local buffer
-//! stamped with the node's skewed local clock.
+//! sequence to the node's seven-segment display (recorded compactly as
+//! one [`EmissionRecord`] per event, see [`Machine::emissions`], and
+//! expanded into the [`SignalLog`] only when someone reads it), terminal
+//! monitoring serializes the event over the V.24 interface, software
+//! monitoring appends to a node-local buffer stamped with the node's
+//! skewed local clock.
 //!
 //! # Parallel event execution
 //!
@@ -45,6 +47,7 @@
 //! the per-cluster shards are packed onto, which cannot change any
 //! digest.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, RwLock};
 
@@ -54,7 +57,7 @@ use des::rng::DetRng;
 use des::shard::{ShardCtx, ShardedEventLoop};
 use des::time::{SimDuration, SimTime};
 use hybridmon::software::SoftwareMonitor;
-use hybridmon::{encode::encode, IntrusionReport, MonEvent, MonitoringMode};
+use hybridmon::{IntrusionReport, MonEvent, MonitoringMode};
 
 use crate::bus::{Interconnect, InterconnectStats};
 use crate::config::MachineConfig;
@@ -64,7 +67,7 @@ use crate::ids::{ClusterId, CondId, LwpId, NodeId, ProcessId, TeamId};
 use crate::message::Message;
 use crate::process::{Action, ProcCtx, Process, Resume};
 use crate::sched::{KernelCtx, Scheduler};
-use crate::signals::{DisplayWrite, SignalLog, TerminalWrite};
+use crate::signals::{SignalLog, TerminalWrite};
 use crate::topology::{Route, Topology};
 
 /// Safety valve against processes that loop through zero-cost actions
@@ -80,10 +83,6 @@ const PREEMPT_QUANTUM: u8 = 2;
 /// [`crate::os_tokens::KERNEL_PREEMPT`] parameter code: an injected
 /// (fuzz) preemption point fired on a user wakeup.
 const PREEMPT_WAKE: u8 = 3;
-
-/// Per-epoch observer callback of the sharded engine: receives the
-/// window watermark and the machine-level emission drain.
-type WindowHook<'a> = &'a mut dyn FnMut(SimTime, &mut Vec<EmissionRecord>);
 
 /// Kernel events.
 #[derive(Debug)]
@@ -441,7 +440,8 @@ struct Partition {
     /// Local nodes, indexed by `node.index() - first_node`.
     nodes: Vec<Node>,
     conds: HashMap<CondId, Vec<ProcessId>>,
-    signals: SignalLog,
+    /// Terminal-interface bytes, in emission order.
+    terminal: Vec<TerminalWrite>,
     ground_truth: GroundTruth,
     intrusion: IntrusionReport,
     /// Local nodes' software monitors, same indexing as `nodes`.
@@ -451,11 +451,8 @@ struct Partition {
     /// event (serializes kernel emissions so pattern pairs never
     /// interleave).
     kernel_display_free: Vec<SimTime>,
-    /// Hybrid emissions awaiting expansion when
-    /// [`MachineConfig::deferred_display`] is set; drained by the
-    /// monitor plane during [`Machine::run_observed`] or expanded into
-    /// the signal log when the run ends.
-    deferred: Vec<EmissionRecord>,
+    /// Hybrid-monitoring display emissions, in emission order.
+    emissions: Vec<EmissionRecord>,
     /// Per-cluster allocation counters; raw id = cluster + clusters * k,
     /// so partitions mint ids independently without collisions.
     next_pid: u32,
@@ -582,16 +579,6 @@ impl Partition {
             dir.write()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .insert(pid.raw(), node);
-        }
-    }
-
-    /// Expands every still-buffered deferred emission into the signal
-    /// log (in emission order, matching the inline path's push order).
-    fn materialize_deferred(&mut self) {
-        for rec in std::mem::take(&mut self.deferred) {
-            for w in rec.writes() {
-                self.signals.push_display(w);
-            }
         }
     }
 
@@ -1370,11 +1357,9 @@ impl Partition {
         self.display_emit(now, node, spacing, token, param);
     }
 
-    /// Writes one event's pattern sequence to `node`'s display —
-    /// inline into the signal log, or as a compact [`EmissionRecord`]
-    /// when display materialization is deferred. Both paths run the
-    /// same serialization arithmetic, so the eventual writes are
-    /// bit-identical.
+    /// Writes one event's pattern sequence to `node`'s display, recorded
+    /// as one compact [`EmissionRecord`]; [`EmissionRecord::writes`]
+    /// expands it into the 32 pattern writes.
     fn display_emit(
         &mut self,
         now: SimTime,
@@ -1388,23 +1373,13 @@ impl Partition {
         // not interleave their pattern pairs on the display.
         let idx = self.local_idx(node);
         let start = now.max(self.kernel_display_free[idx]);
-        if self.cfg.deferred_display {
-            self.deferred.push(EmissionRecord {
-                start,
-                spacing,
-                node,
-                token,
-                param,
-            });
-        } else {
-            for (i, pattern) in encode(MonEvent::new(token, param)).into_iter().enumerate() {
-                self.signals.push_display(DisplayWrite {
-                    time: start + spacing * (i as u64 + 1),
-                    node,
-                    pattern,
-                });
-            }
-        }
+        self.emissions.push(EmissionRecord {
+            start,
+            spacing,
+            node,
+            token,
+            param,
+        });
         self.kernel_display_free[idx] =
             start + spacing * (EmissionRecord::write_count() as u64 + 1);
     }
@@ -1442,7 +1417,7 @@ impl Partition {
                 let spacing = self.cfg.monitor_costs.terminal_transfer / 6;
                 let start = now + self.cfg.monitor_costs.terminal_ctx_switch;
                 for (i, b) in bytes.into_iter().enumerate() {
-                    self.signals.push_terminal(TerminalWrite {
+                    self.terminal.push(TerminalWrite {
                         time: start + spacing * (i as u64 + 1),
                         node,
                         byte: b,
@@ -1500,10 +1475,9 @@ pub struct Machine {
     /// Worker threads the per-cluster engine shards are packed onto
     /// (presentation only — never affects the logical schedule).
     engine_shards: usize,
-    /// Emissions collected from all partitions at epoch barriers,
-    /// in cluster-major epoch order (the multi-cluster analogue of a
-    /// partition's `deferred` buffer).
-    drain: Vec<EmissionRecord>,
+    /// The signal log, expanded from the emissions on first read and
+    /// dropped whenever the machine runs again.
+    signals: OnceCell<SignalLog>,
     /// End time of the latest sharded run chunk.
     last_end: SimTime,
     initial: Option<ProcessId>,
@@ -1578,13 +1552,13 @@ impl Machine {
                         })
                         .collect(),
                     conds: HashMap::new(),
-                    signals: SignalLog::new(),
+                    terminal: Vec::new(),
                     ground_truth: GroundTruth::new(),
                     intrusion: IntrusionReport::default(),
                     software: software.drain(..npc).collect(),
                     stats: KernelStats::default(),
                     kernel_display_free: vec![SimTime::ZERO; npc],
-                    deferred: Vec::new(),
+                    emissions: Vec::new(),
                     next_pid: 0,
                     next_team: 0,
                     initial: None,
@@ -1607,7 +1581,7 @@ impl Machine {
             parts,
             engine,
             engine_shards: 1,
-            drain: Vec::new(),
+            signals: OnceCell::new(),
             last_end: SimTime::ZERO,
             initial: None,
             initial_cluster: 0,
@@ -1697,75 +1671,23 @@ impl Machine {
     /// granularity, so slightly more events than `max_events` may run.
     pub fn run_budgeted(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
         let (horizon, limited) = self.start_run(horizon);
+        // A resumed run appends emissions; the next read re-expands.
+        self.signals.take();
         match self.engine {
             Engine::Seq(_) => {
                 let stop = self.run_chunk_seq(horizon, max_events);
                 self.finish_seq(stop, limited)
             }
             Engine::Sharded(_) => {
-                let stop = self.run_multi(horizon, max_events, None);
+                let stop = self.run_multi(horizon, max_events);
                 self.finish_multi(stop, limited)
             }
         }
     }
 
-    /// Runs the application like [`run`](Self::run), but pauses every
-    /// `window_events` kernel events to let a monitor-plane consumer
-    /// observe the run in flight: `on_window(now, emissions)` receives
-    /// the current simulated time and the deferred-emission buffer (see
-    /// [`MachineConfig::deferred_display`]), which it may drain — e.g.
-    /// into monitor shards, releasing their streams up to `now`.
-    ///
-    /// The watermark guarantee: every emission recorded *after* a
-    /// callback at time `now` has all its display writes strictly later
-    /// than `now`, so a consumer that drains the buffer may safely
-    /// process everything up to (excluding) `now`. The callback runs one
-    /// final time after the last event, with `now` at the end time.
-    ///
-    /// On a multi-cluster machine the engine observes at epoch
-    /// boundaries instead — the callback fires once per lookahead
-    /// window with the epoch watermark, and `window_events` is not
-    /// used. The watermark guarantee is identical.
-    ///
-    /// Emissions still buffered when the run ends expand into the
-    /// signal log as usual, so [`Machine::signals`] stays complete no
-    /// matter how much the callback drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no process was added or `window_events` is zero.
-    pub fn run_observed<F>(
-        &mut self,
-        horizon: SimTime,
-        window_events: u64,
-        mut on_window: F,
-    ) -> RunOutcome
-    where
-        F: FnMut(SimTime, &mut Vec<EmissionRecord>),
-    {
-        assert!(window_events > 0, "observation window must be nonzero");
-        let (horizon, limited) = self.start_run(horizon);
-        match self.engine {
-            Engine::Seq(_) => {
-                let stop = loop {
-                    let stop = self.run_chunk_seq(horizon, window_events);
-                    let now = self.now();
-                    let part = &mut self.parts[0];
-                    on_window(now, &mut part.deferred);
-                    if part.halted || stop != StopReason::StepBudget {
-                        break stop;
-                    }
-                };
-                self.finish_seq(stop, limited)
-            }
-            Engine::Sharded(_) => {
-                let stop = self.run_multi(horizon, u64::MAX, Some(&mut on_window));
-                self.finish_multi(stop, limited)
-            }
-        }
-    }
-
-    /// Applies the job time limit and kicks every node with ready work.
+    /// Applies the job time limit and, on the first run, kicks every
+    /// node with ready work. A resumed run continues from the events it
+    /// left queued.
     fn start_run(&mut self, horizon: SimTime) -> (SimTime, bool) {
         assert!(self.initial.is_some(), "machine has no processes");
         // The operator's job time limit releases the partition even if
@@ -1775,6 +1697,13 @@ impl Machine {
             Some(r) if r < horizon => (r, true),
             _ => (horizon, false),
         };
+        let resumed = match &self.engine {
+            Engine::Seq(sim) => sim.events_scheduled() > 0,
+            Engine::Sharded(eng) => eng.events_scheduled() > 0,
+        };
+        if resumed {
+            return (horizon, limited);
+        }
         for n in self.topo.nodes() {
             let c = self.topo.cluster_of(n).index() as usize;
             if !self.parts[c].local_node(n).sched.has_ready() {
@@ -1801,16 +1730,8 @@ impl Machine {
     }
 
     /// Runs the sharded engine: every partition advances in lockstep
-    /// lookahead windows, `engine_shards` worker threads wide. Each
-    /// epoch barrier collects the partitions' deferred emissions into
-    /// the machine-level drain (cluster order) and, when observing,
-    /// fires the window callback with the epoch watermark.
-    fn run_multi(
-        &mut self,
-        horizon: SimTime,
-        max_events: u64,
-        mut on_window: Option<WindowHook<'_>>,
-    ) -> StopReason {
+    /// lookahead windows, `engine_shards` worker threads wide.
+    fn run_multi(&mut self, horizon: SimTime, max_events: u64) -> StopReason {
         assert!(
             !self.merged,
             "a multi-cluster machine cannot run again after it finished"
@@ -1820,50 +1741,25 @@ impl Machine {
             unreachable!("run_multi on a sequential engine");
         };
         let parts = &mut self.parts;
-        let drain = &mut self.drain;
-        let mut last_wm = self.last_end;
         let stop = eng.run_threaded(
             parts,
             horizon,
             max_events,
             threads,
             |part: &mut Partition, ctx, _now, ev| part.handle(&mut ShardSched { ctx }, ev),
-            |part: &mut Partition| std::mem::take(&mut part.deferred),
-            |watermark, collected: Vec<Vec<EmissionRecord>>| {
-                for mut c in collected {
-                    drain.append(&mut c);
-                }
-                // Clamp to non-decreasing: the final epoch reports
-                // SimTime::MAX when drained, and a horizon stop can
-                // leave the last window start behind an earlier one.
-                last_wm = watermark.max(last_wm);
-                if let Some(cb) = on_window.as_deref_mut() {
-                    cb(last_wm, drain);
-                }
-            },
         );
-        // Anything deferred after the last collected epoch.
-        for part in parts.iter_mut() {
-            drain.append(&mut part.deferred);
-        }
         let end = parts
             .iter()
             .map(|p| p.now_local)
             .max()
             .unwrap_or(SimTime::ZERO);
         self.last_end = self.last_end.max(end);
-        if let Some(cb) = on_window {
-            cb(last_wm.max(self.last_end), drain);
-        }
         stop
     }
 
-    /// Expands leftover deferred emissions, sorts the signal log, and
-    /// folds the stop reason into the outcome (sequential engine).
+    /// Folds the stop reason into the outcome (sequential engine).
     fn finish_seq(&mut self, stop: StopReason, limited: bool) -> RunOutcome {
-        let part = &mut self.parts[0];
-        part.materialize_deferred();
-        part.signals.sort();
+        let part = &self.parts[0];
         let reason = if part.halted {
             RunEnd::Completed
         } else {
@@ -1887,7 +1783,8 @@ impl Machine {
             let (first, rest) = self.parts.split_at_mut(1);
             let p0 = &mut first[0];
             for p in rest {
-                p0.signals.absorb(&mut p.signals);
+                p0.emissions.append(&mut p.emissions);
+                p0.terminal.append(&mut p.terminal);
                 p0.ground_truth.absorb(&mut p.ground_truth);
                 let intr = std::mem::take(&mut p.intrusion);
                 p0.intrusion.events += intr.events;
@@ -1900,13 +1797,6 @@ impl Machine {
             }
         }
         let completed = self.parts[self.initial_cluster].halted;
-        let part = &mut self.parts[0];
-        for rec in std::mem::take(&mut self.drain) {
-            for w in rec.writes() {
-                part.signals.push_display(w);
-            }
-        }
-        part.signals.sort();
         let reason = if completed {
             RunEnd::Completed
         } else {
@@ -1950,9 +1840,29 @@ impl Machine {
         }
     }
 
-    /// Externally observable hardware signals (display, terminal).
+    /// Every hybrid-monitoring display emission of the run, one compact
+    /// record per event: per partition in emission order, partitions in
+    /// cluster order. Per node the records are in strictly increasing
+    /// time order and never overlap — the display serializer starts an
+    /// emission only after the previous one's 32 writes (plus one
+    /// spacing) — so each record is exactly one decodable event.
+    pub fn emissions(&self) -> &[EmissionRecord] {
+        &self.parts[0].emissions
+    }
+
+    /// Externally observable hardware signals (display, terminal), each
+    /// stream in global time order. The display writes are expanded
+    /// from [`emissions`](Self::emissions) on the first call after a
+    /// run — millions of writes on a paper-scale run, so hot paths read
+    /// the emissions instead.
     pub fn signals(&self) -> &SignalLog {
-        &self.parts[0].signals
+        self.signals.get_or_init(|| {
+            let part = &self.parts[0];
+            SignalLog::from_streams(
+                part.emissions.iter().flat_map(EmissionRecord::writes),
+                part.terminal.iter().copied(),
+            )
+        })
     }
 
     /// True process-state history (the validation oracle).

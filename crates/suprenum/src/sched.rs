@@ -188,7 +188,7 @@ impl SchedulerKind {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown policies, malformed
-    /// quantums/seeds, or nested fuzz wrappers.
+    /// or zero quantums, malformed seeds, or nested fuzz wrappers.
     pub fn parse(spec: &str) -> Result<SchedulerKind, String> {
         let (head, rest) = match spec.split_once(':') {
             Some((h, r)) => (h, Some(r)),
@@ -197,10 +197,11 @@ impl SchedulerKind {
         let quantum_of = |rest: Option<&str>| -> Result<SimDuration, String> {
             match rest {
                 None => Ok(DEFAULT_QUANTUM),
-                Some(us) => us
-                    .parse::<u64>()
-                    .map(SimDuration::from_micros)
-                    .map_err(|_| format!("bad quantum '{us}' (want microseconds)")),
+                Some(us) => match us.parse::<u64>() {
+                    Ok(0) => Err(format!("zero quantum '{us}' (want at least 1 microsecond)")),
+                    Ok(n) => Ok(SimDuration::from_micros(n)),
+                    Err(_) => Err(format!("bad quantum '{us}' (want microseconds)")),
+                },
             }
         };
         match head {
@@ -698,6 +699,11 @@ mod tests {
         assert!(SchedulerKind::parse("preempt:abc").is_err());
         assert!(SchedulerKind::parse("fuzz:fuzz:rr:1").is_err());
         assert!(SchedulerKind::parse("rr:5").is_err());
+        // A zero quantum parses as a number but no policy can run it.
+        for spec in ["preempt:0", "cfs:0", "fuzz:preempt:0:7", "fuzz:cfs:0:3"] {
+            let err = SchedulerKind::parse(spec).expect_err(spec);
+            assert!(err.contains("zero quantum"), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! These are the streams an external hardware monitor can probe without
 //! perturbing the object system: every pattern written to each node's
 //! seven-segment display and every byte leaving each node's V.24 terminal
-//! interface, with exact (true) global timestamps. The ZM4 simulation
-//! consumes these logs; nothing inside the machine reads them back.
+//! interface, with exact (true) global timestamps. The pattern-level ZM4
+//! simulation consumes these logs; nothing inside the machine reads them
+//! back.
 
 use des::time::SimTime;
 use hybridmon::Pattern;
@@ -41,57 +42,40 @@ pub struct SignalLog {
 }
 
 impl SignalLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        SignalLog::default()
+    /// Builds a log from display writes and terminal bytes in emission
+    /// order. Each stream is stably sorted by time: the kernel emits the
+    /// writes of one event at increasing future timestamps, so streams
+    /// of concurrent nodes interleave, and equal times keep emission
+    /// order.
+    pub fn from_streams<D, T>(display: D, terminal: T) -> Self
+    where
+        D: IntoIterator<Item = DisplayWrite>,
+        T: IntoIterator<Item = TerminalWrite>,
+    {
+        let mut display: Vec<DisplayWrite> = display.into_iter().collect();
+        let mut terminal: Vec<TerminalWrite> = terminal.into_iter().collect();
+        display.sort_by_key(|w| w.time);
+        terminal.sort_by_key(|w| w.time);
+        SignalLog { display, terminal }
     }
 
-    /// Records a display write.
-    pub fn push_display(&mut self, write: DisplayWrite) {
-        self.display.push(write);
-    }
-
-    /// Records a terminal byte.
-    pub fn push_terminal(&mut self, write: TerminalWrite) {
-        self.terminal.push(write);
-    }
-
-    /// All display writes in emission order.
+    /// All display writes in time order.
     pub fn display_writes(&self) -> &[DisplayWrite] {
         &self.display
     }
 
-    /// All terminal bytes in emission order.
+    /// All terminal bytes in time order.
     pub fn terminal_writes(&self) -> &[TerminalWrite] {
         &self.terminal
     }
 
     /// Display writes of one node, in time order.
     pub fn display_writes_for(&self, node: NodeId) -> Vec<DisplayWrite> {
-        let mut v: Vec<DisplayWrite> = self
-            .display
+        self.display
             .iter()
             .copied()
             .filter(|w| w.node == node)
-            .collect();
-        v.sort_by_key(|w| w.time);
-        v
-    }
-
-    /// Moves every record of `other` into this log. Used when merging
-    /// per-cluster partitions after a sharded run; callers re-establish
-    /// global time order with [`sort`](Self::sort) afterwards.
-    pub fn absorb(&mut self, other: &mut SignalLog) {
-        self.display.append(&mut other.display);
-        self.terminal.append(&mut other.terminal);
-    }
-
-    /// Sorts both logs by time. The kernel emits display writes of one
-    /// `hybrid_mon` call with increasing future timestamps, so logs from
-    /// concurrent nodes interleave; sorting restores global time order.
-    pub fn sort(&mut self) {
-        self.display.sort_by_key(|w| w.time);
-        self.terminal.sort_by_key(|w| w.time);
+            .collect()
     }
 }
 
@@ -109,10 +93,7 @@ mod tests {
 
     #[test]
     fn filter_by_node_sorts() {
-        let mut log = SignalLog::new();
-        log.push_display(dw(30, 0, 1));
-        log.push_display(dw(10, 1, 2));
-        log.push_display(dw(20, 0, 3));
+        let log = SignalLog::from_streams([dw(30, 0, 1), dw(10, 1, 2), dw(20, 0, 3)], []);
         let n0 = log.display_writes_for(NodeId::new(0));
         assert_eq!(n0.len(), 2);
         assert!(n0[0].time < n0[1].time);
@@ -122,16 +103,15 @@ mod tests {
 
     #[test]
     fn sort_orders_globally() {
-        let mut log = SignalLog::new();
-        log.push_display(dw(30, 0, 1));
-        log.push_display(dw(10, 1, 2));
-        log.push_terminal(TerminalWrite {
+        let terminal = TerminalWrite {
             time: SimTime::from_nanos(5),
             node: NodeId::new(0),
             byte: 0xAA,
-        });
-        log.sort();
-        assert_eq!(log.display_writes()[0].time, SimTime::from_nanos(10));
+        };
+        // Equal times keep emission order.
+        let log = SignalLog::from_streams([dw(30, 0, 1), dw(10, 1, 2), dw(10, 0, 4)], [terminal]);
+        assert_eq!(log.display_writes()[0], dw(10, 1, 2));
+        assert_eq!(log.display_writes()[1], dw(10, 0, 4));
         assert_eq!(log.terminal_writes()[0].byte, 0xAA);
     }
 }

@@ -21,7 +21,11 @@
 //! system (seven-segment display writes, as [`ProbeSample`]s) and
 //! produces the merged, timestamped global trace — including event loss
 //! when the FIFO model overflows and timestamp error when the MTG is
-//! disabled (free-running, skewed recorder clocks).
+//! disabled (free-running, skewed recorder clocks). When the caller
+//! already knows which events the detectors would assemble — a
+//! fault-free display whose pattern pairs never interleave —
+//! [`Zm4::observe_decoded`] skips the pattern stream and runs the same
+//! recorders and merge on those events directly.
 //!
 //! # Examples
 //!
@@ -53,7 +57,6 @@ pub mod dpu;
 pub mod measurement;
 pub mod recorder;
 pub mod serial;
-pub mod sharded;
 
 pub use cec::merge_traces;
 pub use config::Zm4Config;
@@ -62,10 +65,10 @@ pub use dpu::Dpu;
 pub use measurement::{Measurement, TraceRecord};
 pub use recorder::{DigestSink, EventRecorder, RecordSink, RecorderStats, StoredRecord};
 pub use serial::{detect_serial, SerialProbe, SerialSample};
-pub use sharded::ObserverShard;
 
 use des::rng::DetRng;
 use des::time::SimTime;
+use hybridmon::decode::DecodeStats;
 
 /// The assembled monitor system: one probe/detector per monitored
 /// channel, channels grouped onto event recorders, recorders onto
@@ -187,13 +190,7 @@ impl Zm4 {
     where
         I: IntoIterator<Item = ProbeSample>,
     {
-        let rng = DetRng::new(self.config.seed);
-        let n_rec = self.recorders();
-
-        // Build one DPU pipeline per recorder, serving its channels.
-        let mut dpus: Vec<Dpu> = (0..n_rec)
-            .map(|i| Dpu::new(i, &self.config, &rng))
-            .collect();
+        let mut dpus = self.dpus();
         let mut detectors: Vec<EventDetector> = (0..self.channels)
             .map(|ch| EventDetector::new(ch, self.config.detector_latency))
             .collect();
@@ -210,9 +207,56 @@ impl Zm4 {
         }
 
         let detector_stats = detectors.into_iter().map(|d| d.into_stats()).collect();
+        Self::record(dpus, detector_stats)
+    }
 
-        let mut local_traces = Vec::with_capacity(n_rec);
-        let mut recorder_stats = Vec::with_capacity(n_rec);
+    /// Runs the measurement over events the detectors have already
+    /// assembled, skipping the pattern stream: each event is queued on
+    /// its channel's DPU and counted as one clean detection, then the
+    /// recorders and the CEC merge run exactly as in
+    /// [`Zm4::observe_iter`].
+    ///
+    /// This equals `observe_iter` over the events' pattern sequences
+    /// whenever every sequence reaches its detector whole and
+    /// uninterleaved — then the detector assembles each event at its
+    /// last pattern, with no stray patterns or atomicity violations.
+    /// Each channel's events must be in non-decreasing time order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event references a channel the monitor was not
+    /// built for.
+    pub fn observe_decoded<I>(&self, events: I) -> Measurement
+    where
+        I: IntoIterator<Item = DetectedEvent>,
+    {
+        let mut dpus = self.dpus();
+        let mut detector_stats = vec![DecodeStats::default(); self.channels];
+        for event in events {
+            assert!(
+                event.channel < self.channels,
+                "event for unwired channel {}",
+                event.channel
+            );
+            detector_stats[event.channel].events += 1;
+            dpus[self.recorder_of(event.channel)].queue_event(event);
+        }
+        Self::record(dpus, detector_stats)
+    }
+
+    /// One DPU per recorder, serving its channels.
+    fn dpus(&self) -> Vec<Dpu> {
+        let rng = DetRng::new(self.config.seed);
+        (0..self.recorders())
+            .map(|i| Dpu::new(i, &self.config, &rng))
+            .collect()
+    }
+
+    /// The shared tail of every measurement: each DPU runs its
+    /// FIFO/drain model, then the CEC merges the local traces.
+    fn record(dpus: Vec<Dpu>, detector_stats: Vec<DecodeStats>) -> Measurement {
+        let mut local_traces = Vec::with_capacity(dpus.len());
+        let mut recorder_stats = Vec::with_capacity(dpus.len());
         for dpu in dpus {
             let (stored, stats) = dpu.record();
             local_traces.push(stored);
@@ -225,5 +269,90 @@ impl Zm4 {
             recorder_stats,
             detector_stats,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hybridmon::encode::encode;
+    use hybridmon::MonEvent;
+
+    /// Interleaved multi-channel traffic: each channel writes its own
+    /// events back to back, channels overlapping in time. Returns the
+    /// time-sorted pattern stream and the events a detector assembles
+    /// from it, stamped with their last pattern's time.
+    fn workload(
+        channels: usize,
+        events_per_channel: usize,
+        latency: des::time::SimDuration,
+    ) -> (Vec<ProbeSample>, Vec<DetectedEvent>) {
+        let mut samples = Vec::new();
+        let mut decoded = Vec::new();
+        for ch in 0..channels {
+            let mut t = 1_000 + (ch as u64) * 137;
+            for k in 0..events_per_channel {
+                let event = MonEvent::new((ch * 100 + k) as u16 & 0xFF, k as u32 & 0xFF);
+                for p in encode(event) {
+                    samples.push(ProbeSample {
+                        time: SimTime::from_nanos(t),
+                        channel: ch,
+                        pattern: p,
+                    });
+                    t += 3_400 + (ch as u64 % 5) * 17;
+                }
+                decoded.push(DetectedEvent {
+                    time: samples.last().expect("just pushed").time + latency,
+                    channel: ch,
+                    event,
+                });
+            }
+        }
+        samples.sort_by_key(|s| s.time);
+        (samples, decoded)
+    }
+
+    fn assert_decoded_matches_patterns(cfg: Zm4Config, channels: usize, per_channel: usize) {
+        let (samples, decoded) = workload(channels, per_channel, cfg.detector_latency);
+        for seed in [1, 77] {
+            let zm4 = Zm4::new(cfg.clone(), channels, seed);
+            let oracle = zm4.observe(&samples);
+            let direct = zm4.observe_decoded(decoded.iter().copied());
+            assert!(!oracle.trace.is_empty());
+            assert_eq!(direct.trace, oracle.trace);
+            assert_eq!(direct.recorder_stats, oracle.recorder_stats);
+            assert_eq!(direct.detector_stats, oracle.detector_stats);
+        }
+    }
+
+    #[test]
+    fn decoded_observation_matches_pattern_level_bit_for_bit() {
+        assert_decoded_matches_patterns(Zm4Config::default(), 10, 6);
+    }
+
+    #[test]
+    fn decoded_matches_even_with_free_running_clocks() {
+        // Skewed recorder clocks reorder the merged trace; both paths
+        // must reorder it identically.
+        let cfg = Zm4Config {
+            mtg_synchronized: false,
+            streams_per_recorder: 1,
+            ..Zm4Config::default()
+        };
+        assert_decoded_matches_patterns(cfg, 8, 4);
+    }
+
+    #[test]
+    fn decoded_matches_under_fifo_overflow() {
+        let cfg = Zm4Config {
+            fifo_capacity: 4,
+            ..Zm4Config::default()
+        };
+        let (samples, _) = workload(8, 32, cfg.detector_latency);
+        assert!(
+            Zm4::new(cfg.clone(), 8, 9).observe(&samples).total_lost() > 0,
+            "workload must overflow"
+        );
+        assert_decoded_matches_patterns(cfg, 8, 32);
     }
 }

@@ -23,7 +23,7 @@ pub struct TraceRecord {
 }
 
 /// Everything a measurement produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// The merged global trace, sorted by claimed timestamp.
     pub trace: Vec<TraceRecord>,
