@@ -42,6 +42,7 @@ use analyzer::{
     check_preemptive_variant, reports_json_with_timings, sarif, ModelBudget, Report, Severity,
     SubjectTimings,
 };
+use pipeline::PipelineConfig;
 use raysim::config::{AppConfig, Version};
 
 fn parse_version(arg: &str) -> Option<Version> {
@@ -126,7 +127,8 @@ fn main() -> ExitCode {
     let mut timings: Vec<SubjectTimings> = Vec::new();
     let mut worst: Option<Severity> = None;
     for &version in &versions {
-        let (report, layers) = analyzer::analyze_version_timed(version, &budget);
+        let cfg = PipelineConfig::new(AppConfig::version(version));
+        let (report, layers) = analyzer::analyze(&cfg, &budget);
         println!("== {version} ==");
         print!("{}", report.render());
         println!();

@@ -56,9 +56,11 @@
 //!
 //! # Pre-flight wiring
 //!
-//! [`raysim::run::run`] consults a [`raysim::run::PreflightPolicy`];
-//! [`preflight::warn_policy`] and [`preflight::deny_policy`] supply the
-//! analysis hook without a dependency cycle.
+//! [`pipeline::run_workload`] consults the [`pipeline::Preflight`] of
+//! its configuration; [`pipeline_warn`] and [`pipeline_deny`] supply
+//! the ray-tracer analysis ([`analyze`]) without a dependency cycle,
+//! and [`workload_warn`] / [`workload_deny`] the token lints for any
+//! workload.
 
 pub mod diag;
 pub mod hb;
@@ -78,9 +80,8 @@ pub use model::{
     OrderScope, ProvenOrder,
 };
 pub use preflight::{
-    analyze_all_versions, analyze_app, analyze_run, analyze_version, analyze_version_timed,
-    deny_policy, pipeline_deny, pipeline_hook, pipeline_warn, policy_from_env, preflight_hook,
-    warn_policy, workload_deny, workload_hook, workload_warn, LayerTimings,
+    analyze, analyze_version, pipeline_deny, pipeline_hook, pipeline_warn, workload_deny,
+    workload_hook, workload_warn, LayerTimings,
 };
 pub use protocol::{analyze_protocol, CreditLedger, ProtocolGraph};
 pub use race::{

@@ -1163,8 +1163,9 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
 }
 
 /// Race-checks a program version's communication shape under the given
-/// scheduler, memoized by shape — the verdict depends only on the
-/// agent layout, the toggle, and the budget.
+/// scheduler. The report is memoized by shape — its findings depend only
+/// on the agent layout, the toggle, and the budget — and a memoized
+/// report is retitled with `app`'s own version.
 pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> Report {
     type ShapeKey = (bool, bool, bool, usize);
     static CACHE: OnceLock<Mutex<HashMap<ShapeKey, Report>>> = OnceLock::new();
@@ -1174,20 +1175,23 @@ pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> R
         preemptive,
         budget.race_states,
     );
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(r) = crate::model::lock_unpoisoned(cache).get(&key) {
-        return r.clone();
-    }
-    let model = RaceModel::version_shape(key.0, key.1, preemptive);
-    let subject = format!(
-        "{} message races ({} scheduler)",
-        app.version,
-        if preemptive {
+    let title = || {
+        let scheduler = if preemptive {
             "preemptive"
         } else {
             "non-preemptive round-robin"
-        }
-    );
+        };
+        format!("{} message races ({scheduler} scheduler)", app.version)
+    };
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    if let Some(r) = crate::model::lock_unpoisoned(cache).get(&key) {
+        return Report {
+            subject: title(),
+            findings: r.findings.clone(),
+        };
+    }
+    let model = RaceModel::version_shape(key.0, key.1, preemptive);
+    let subject = title();
     let report = check_race_model(&model, budget.race_states, &subject);
     crate::model::lock_unpoisoned(cache).insert(key, report.clone());
     report
@@ -1200,6 +1204,18 @@ mod tests {
 
     fn shapes() -> [(bool, bool); 3] {
         [(false, false), (true, false), (true, true)]
+    }
+
+    #[test]
+    fn memoized_race_reports_keep_their_own_subject() {
+        // V3 and V4 share a communication shape, so V4 reuses V3's
+        // memoized findings — but not its title.
+        let budget = ModelBudget::preflight();
+        let v3 = check_races(&AppConfig::version(Version::V3), &budget, false);
+        let v4 = check_races(&AppConfig::version(Version::V4), &budget, false);
+        assert!(v3.subject.starts_with("Version 3 "), "{}", v3.subject);
+        assert!(v4.subject.starts_with("Version 4 "), "{}", v4.subject);
+        assert_eq!(v3.findings, v4.findings);
     }
 
     #[test]

@@ -360,7 +360,7 @@ pub fn lint_pair(app: &TokenMap, kernel: &TokenMap) -> Report {
 }
 
 /// Lints both stock point maps and their interaction; the map-level half
-/// of [`crate::preflight::analyze_app`].
+/// of [`crate::preflight::analyze`].
 pub fn lint_stock_maps() -> Report {
     let app = TokenMap::raysim_application();
     let kernel = TokenMap::suprenum_kernel();

@@ -17,9 +17,9 @@
 
 use analyzer::model::exact::ExactModel;
 use des::time::SimTime;
+use pipeline::{run_workload, PipelineConfig};
 use proptest::prelude::*;
 use raysim::config::{AppConfig, SceneKind, Version};
-use raysim::run::{run, RunConfig};
 use suprenum::RunEnd;
 
 fn small_app(
@@ -71,9 +71,9 @@ proptest! {
         let verdict = model.explore(500_000);
         prop_assume!(!verdict.bounded);
 
-        let mut cfg = RunConfig::new(app);
+        let mut cfg = PipelineConfig::new(app);
         cfg.horizon = SimTime::from_secs(3_600);
-        let result = run(cfg);
+        let result = run_workload(cfg);
         let reason = result.outcome.reason;
         prop_assert!(
             reason == RunEnd::Completed || reason == RunEnd::Deadlock,

@@ -4,9 +4,9 @@
 //! paper (or its reproduction) could only observe dynamically.
 
 use analyzer::token_lints::{MapKind, TokenMap};
-use analyzer::{analyze_run, analyze_version, Severity};
+use analyzer::{analyze, analyze_version, ModelBudget, Severity};
+use pipeline::PipelineConfig;
 use raysim::config::{AppConfig, Version};
-use raysim::run::RunConfig;
 
 /// (a) The version-3 pixel-queue bug, in the stock configuration.
 #[test]
@@ -49,10 +49,10 @@ fn over_instrumented_config_predicts_event_loss() {
     let mut app = AppConfig::version(Version::V1);
     app.instrument_send_results = true;
     app.oversample = 2;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     // All sixteen display channels multiplexed onto one event recorder.
     cfg.zm4.streams_per_recorder = 16;
-    let report = analyze_run(&cfg);
+    let (report, _) = analyze(&cfg, &ModelBudget::preflight());
     let finding = report
         .with_code("AN-RATE-001")
         .next()
@@ -60,7 +60,8 @@ fn over_instrumented_config_predicts_event_loss() {
     assert_eq!(finding.severity, Severity::Error);
     assert!(finding.message.contains("loss"));
     // The stock recorder assignment absorbs the same application.
-    let stock = analyze_run(&RunConfig::new(AppConfig::version(Version::V1)));
+    let stock = PipelineConfig::new(AppConfig::version(Version::V1));
+    let (stock, _) = analyze(&stock, &ModelBudget::preflight());
     assert!(!stock.contains("AN-RATE-001"), "{}", stock.render());
 }
 

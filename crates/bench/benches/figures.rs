@@ -1,14 +1,15 @@
 //! Whole-pipeline benchmarks: quick-scale versions of the paper's
 //! measurement runs, timing the complete simulate-monitor-evaluate
 //! pipeline. (Full-scale figure regeneration lives in the `bench`
-//! crate's binaries, e.g. `cargo run --release -p bench --bin
-//! fig10_versions`.)
+//! crate's binaries and the sweep harness, e.g. `cargo run --release
+//! -p harness -- sweep fig10 --scale paper`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use suprenum_monitor::apps::jacobi::{run_jacobi, JacobiConfig};
 use suprenum_monitor::experiments::{
     clock_sync_ablation, fig7_mailbox_gantt, mailbox_anatomy, Scale,
 };
+use suprenum_monitor::pipeline::jacobi::JacobiConfig;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
 
 fn bench_pipelines(c: &mut Criterion) {
     let mut g = c.benchmark_group("experiment_pipelines");
@@ -24,12 +25,13 @@ fn bench_pipelines(c: &mut Criterion) {
     });
     g.bench_function("jacobi_6_workers", |b| {
         b.iter(|| {
-            let cfg = JacobiConfig {
+            let mut cfg = PipelineConfig::new(JacobiConfig {
                 workers: 6,
                 iterations: 12,
                 ..JacobiConfig::default()
-            };
-            black_box(run_jacobi(cfg, 7).max_error)
+            });
+            cfg.seed = 7;
+            black_box(run_workload(cfg).output.max_error)
         });
     });
     g.finish();

@@ -7,10 +7,20 @@
 //! this measures what that choice bought.
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig, PipelineResult, Workload};
 use suprenum_monitor::raysim::analysis::servant_utilization;
 use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
-use suprenum_monitor::raysim::objpart::{run_object_partitioned, ObjPartConfig};
-use suprenum_monitor::raysim::run::{run, RunConfig};
+use suprenum_monitor::raysim::objpart::ObjPartConfig;
+
+/// Runs `workload` to completion.
+fn measure<W: Workload>(label: &str, workload: W, horizon: SimTime) -> PipelineResult<W> {
+    let mut cfg = PipelineConfig::new(workload);
+    cfg.horizon = horizon;
+    let r = run_workload(cfg);
+    r.ensure_completed()
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    r
+}
 
 fn main() {
     let horizon = SimTime::from_secs(360_000);
@@ -31,27 +41,21 @@ fn main() {
     );
 
     // Object partitioning.
-    let obj = run_object_partitioned(ObjPartConfig::new(base()), 1992, horizon);
-    obj.ensure_completed()
-        .unwrap_or_else(|e| panic!("object partitioning: {e}"));
+    let obj = measure("object partitioning", ObjPartConfig::new(base()), horizon);
     let u = servant_utilization(&obj.trace, 15);
     let ic = obj.machine.interconnect_stats();
     println!(
         "{:<20} {:>11.1}% {:>14} {:>14} {:>15.1}s {:>12}",
         "object partitioning",
         u.mean_percent(),
-        obj.max_objects_per_servant,
+        obj.output.max_objects_per_servant,
         ic.bytes_moved,
         obj.outcome.end.as_secs_f64(),
         ic.intra_cluster_transfers + ic.local_transfers,
     );
 
     // Ray partitioning (version 4).
-    let mut cfg = RunConfig::new(base());
-    cfg.horizon = horizon;
-    let ray = run(cfg);
-    ray.ensure_completed()
-        .unwrap_or_else(|e| panic!("ray partitioning: {e}"));
+    let ray = measure("ray partitioning", base(), horizon);
     let u = servant_utilization(&ray.trace, 15);
     let ic = ray.machine.interconnect_stats();
     println!(
@@ -65,7 +69,7 @@ fn main() {
     );
     println!(
         "\nobject partitioning executed {} broadcast rounds; its servants idle at every",
-        obj.rounds
+        obj.output.rounds
     );
     println!("round barrier while the master reduces 15 answer sets per ray generation —");
     println!("the communication/synchronization price of not replicating the scene.");

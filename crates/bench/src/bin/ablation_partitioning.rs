@@ -6,11 +6,21 @@
 //! assigning discontinuous subsets of rays."
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig, Workload};
 use suprenum_monitor::raysim::analysis::{servant_tracks, servant_utilization, work_phase};
 use suprenum_monitor::raysim::config::{AppConfig, Version};
-use suprenum_monitor::raysim::run::{run, RunConfig};
-use suprenum_monitor::raysim::static_partition::{run_static, StaticScheme};
+use suprenum_monitor::raysim::static_partition::{StaticConfig, StaticScheme};
 use suprenum_monitor::simple::Trace;
+
+/// Runs `workload` to completion; returns its trace and end time.
+fn measure<W: Workload>(label: &str, workload: W, horizon: SimTime) -> (Trace, SimTime) {
+    let mut cfg = PipelineConfig::new(workload);
+    cfg.horizon = horizon;
+    let r = run_workload(cfg);
+    r.ensure_completed()
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    (r.trace, r.outcome.end)
+}
 
 fn main() {
     let horizon = SimTime::from_secs(36_000);
@@ -49,28 +59,18 @@ fn main() {
         );
     };
 
+    let servants = u32::from(base().servants);
     for scheme in [StaticScheme::Contiguous, StaticScheme::Interleaved] {
-        let app = base();
-        let servants = app.servants as u32;
-        let r = run_static(app, scheme, 1992, horizon);
-        r.ensure_completed()
-            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
-        report(scheme.to_string(), &r.trace, servants, r.outcome.end);
+        let label = scheme.to_string();
+        let workload = StaticConfig {
+            app: base(),
+            scheme,
+        };
+        let (trace, end) = measure(&label, workload, horizon);
+        report(label, &trace, servants, end);
     }
-
-    let app = base();
-    let servants = app.servants as u32;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = horizon;
-    let r = run(cfg);
-    r.ensure_completed()
-        .unwrap_or_else(|e| panic!("dynamic: {e}"));
-    report(
-        "dynamic (version 4)".into(),
-        &r.trace,
-        servants,
-        r.outcome.end,
-    );
+    let (trace, end) = measure("dynamic", base(), horizon);
+    report("dynamic (version 4)".into(), &trace, servants, end);
     println!("\ncontiguous bands idle on cheap sky rows while the center band grinds;");
     println!("interleaving spreads the variance; dynamic partitioning adapts to it.");
 }

@@ -5,8 +5,8 @@
 //! every ZM4 recorder.
 
 use suprenum_monitor::analyzer::{analyze_version, predict};
+use suprenum_monitor::pipeline::PipelineConfig;
 use suprenum_monitor::raysim::config::{AppConfig, Version};
-use suprenum_monitor::raysim::run::RunConfig;
 
 fn main() {
     for version in Version::ALL {
@@ -14,8 +14,8 @@ fn main() {
         println!("== {version} ==");
         print!("{}", report.render());
 
-        let cfg = RunConfig::new(AppConfig::version(version));
-        let prediction = predict(&cfg.app, &cfg.machine, &cfg.zm4);
+        let cfg = PipelineConfig::new(AppConfig::version(version));
+        let prediction = predict(&cfg.workload, &cfg.machine, &cfg.zm4);
         println!(
             "{:>10} {:>16} {:>12} {:>12}",
             "recorder", "channels", "arrival/s", "drain/s"

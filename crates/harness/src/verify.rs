@@ -521,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn deny_policy_reports_every_denied_run_and_exits_4() {
+    fn deny_mode_reports_every_denied_run_and_exits_4() {
         // Two copies of the stock V3 protocol shape (whose window
         // collapse is a static error) plus one healthy V4 run: under
         // `deny`, BOTH V3 runs must be reported — not just the first —

@@ -17,8 +17,8 @@
 //!
 //! [`JacobiConfig`] implements [`Workload`], so the whole monitor stack
 //! — pre-flight lints, ZM4 observation, happens-before verification,
-//! sweep records — applies unchanged; [`run_jacobi`] remains as the
-//! one-call convenience wrapper.
+//! sweep records — applies unchanged: run it with
+//! [`crate::run_workload`].
 
 use std::sync::{Arc, Mutex};
 
@@ -26,7 +26,7 @@ use des::time::SimDuration;
 use simple::{ActivityModel, Trace};
 use suprenum::{Action, Machine, Message, NodeId, ProcCtx, Process, ProcessId, Resume};
 
-use crate::{Harvest, OrderEdge, PipelineConfig, RunMetrics, TokenDecl, Workload};
+use crate::{Harvest, OrderEdge, RunMetrics, TokenDecl, Workload};
 
 /// Worker: "Exchange" phase begins.
 pub const EXCHANGE_BEGIN: u16 = 0x0401;
@@ -523,40 +523,6 @@ impl Process for Coordinator {
     }
 }
 
-/// Result of a monitored Jacobi run (the [`run_jacobi`] convenience
-/// shape; the pipeline-native shape is
-/// `PipelineResult<JacobiConfig>`).
-#[derive(Debug)]
-pub struct JacobiResult {
-    /// The assembled solution (workers' strips in order).
-    pub solution: Vec<f64>,
-    /// The merged monitoring trace.
-    pub trace: Trace,
-    /// The machine (ground truth, signals).
-    pub machine: Machine,
-    /// Maximum absolute error versus the sequential reference.
-    pub max_error: f64,
-}
-
-/// Runs the monitored distributed Jacobi solver through the full
-/// pipeline and validates it against the sequential reference.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or the run does not complete.
-pub fn run_jacobi(cfg: JacobiConfig, seed: u64) -> JacobiResult {
-    let mut pipeline_cfg = PipelineConfig::new(cfg);
-    pipeline_cfg.seed = seed;
-    let result = crate::run_workload(pipeline_cfg);
-    assert!(result.completed(), "jacobi run must complete");
-    JacobiResult {
-        solution: result.output.solution,
-        trace: result.trace,
-        machine: result.machine,
-        max_error: result.output.max_error,
-    }
-}
-
 /// Activity model for the worker instrumentation.
 pub fn worker_activity_model() -> ActivityModel {
     let mut m = ActivityModel::new();
@@ -569,10 +535,19 @@ pub fn worker_activity_model() -> ActivityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelineConfig, PipelineResult};
+
+    fn run_seeded(cfg: JacobiConfig, seed: u64) -> PipelineResult<JacobiConfig> {
+        let mut pipeline_cfg = PipelineConfig::new(cfg);
+        pipeline_cfg.seed = seed;
+        let result = crate::run_workload(pipeline_cfg);
+        assert!(result.completed(), "jacobi run must complete");
+        result
+    }
 
     #[test]
     fn distributed_matches_sequential_exactly() {
-        let r = run_jacobi(JacobiConfig::default(), 11);
+        let r = run_seeded(JacobiConfig::default(), 11).output;
         assert!(
             r.max_error == 0.0,
             "distributed Jacobi diverged from the reference by {}",
@@ -593,7 +568,7 @@ mod tests {
             iterations: 10,
             ..JacobiConfig::default()
         };
-        let r = run_jacobi(cfg, 5);
+        let r = run_seeded(cfg, 5);
         let model = worker_activity_model();
         for worker in 1..=3usize {
             let track = model.derive_track(
@@ -624,8 +599,8 @@ mod tests {
             iterations: 25,
             ..JacobiConfig::default()
         };
-        let r = run_jacobi(cfg, 2);
-        assert_eq!(r.max_error, 0.0);
+        let r = run_seeded(cfg, 2);
+        assert_eq!(r.output.max_error, 0.0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use order::{dominant_scope, OrderEdge, OrderScope};
 pub use preflight::{
     try_preflight, PolicyMode, Preflight, PreflightDenied, PreflightHook, PreflightSummary,
 };
-pub use trace::{probe_samples, to_simple_trace};
+pub use trace::to_simple_trace;
 
 /// One declared instrumentation point: the raw `(token, activity name,
 /// group)` triple a workload registers with the monitor. The analyzer's
@@ -333,7 +333,54 @@ impl<W: Workload> PipelineResult<W> {
     pub fn metrics(&self, workload: &W) -> RunMetrics {
         workload.metrics(&self.trace, self.truncated(), &self.output)
     }
+
+    /// Errors if the run did not complete, with a report naming the
+    /// truncation kind, the simulated end time, and the events
+    /// processed. Figure and experiment binaries use this to fail
+    /// loudly (non-zero exit) instead of printing statistics from an
+    /// interrupted measurement as if they were valid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TruncatedRun`] when the outcome is anything but
+    /// [`RunEnd::Completed`].
+    pub fn ensure_completed(&self) -> Result<(), TruncatedRun> {
+        if self.completed() {
+            Ok(())
+        } else {
+            Err(TruncatedRun {
+                reason: self.outcome.reason,
+                end: self.outcome.end,
+                events: self.outcome.events,
+            })
+        }
+    }
 }
+
+/// A measurement run that did not reach completion (see
+/// [`PipelineResult::ensure_completed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TruncatedRun {
+    /// How the run actually ended.
+    pub reason: RunEnd,
+    /// Simulated time at truncation.
+    pub end: SimTime,
+    /// Kernel events processed before truncation.
+    pub events: u64,
+}
+
+impl std::fmt::Display for TruncatedRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "run truncated ({}) at t={} after {} kernel events; \
+             its statistics do not describe a complete execution",
+            self.reason, self.end, self.events
+        )
+    }
+}
+
+impl std::error::Error for TruncatedRun {}
 
 /// Why [`try_run_workload`] refused to execute a configuration.
 #[derive(Debug)]

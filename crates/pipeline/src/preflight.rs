@@ -180,3 +180,28 @@ pub fn try_preflight<W: Workload>(
     }
     Ok(Some(summary))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_override_selects_policies() {
+        // Set/unset ANALYZER_POLICY around each probe. Serialized by
+        // being the crate's only reader of the variable; it is left
+        // unset at the end.
+        let probe = |value: Option<&str>| {
+            match value {
+                Some(v) => std::env::set_var("ANALYZER_POLICY", v),
+                None => std::env::remove_var("ANALYZER_POLICY"),
+            }
+            PolicyMode::from_env()
+        };
+        assert_eq!(probe(Some("off")), Some(PolicyMode::Off));
+        assert_eq!(probe(Some("WARN")), Some(PolicyMode::Warn));
+        assert_eq!(probe(Some("deny")), Some(PolicyMode::Deny));
+        // Unknown values are reported and treated as unset.
+        assert_eq!(probe(Some("strict")), None);
+        assert_eq!(probe(None), None);
+    }
+}

@@ -68,13 +68,6 @@ pub fn probe_sample_iter(machine: &Machine) -> impl Iterator<Item = ProbeSample>
         .map(probe_sample)
 }
 
-/// Converts a machine's display signal log into ZM4 probe samples
-/// (channel = node index). Prefer [`probe_sample_iter`] on hot paths —
-/// this materializes the vector.
-pub fn probe_samples(machine: &Machine) -> Vec<ProbeSample> {
-    probe_sample_iter(machine).collect()
-}
-
 /// Converts a ZM4 measurement's merged trace into SIMPLE events.
 pub fn to_simple_trace(measurement: &Measurement) -> Trace {
     measurement

@@ -218,7 +218,8 @@ impl AppConfig {
         self.servants + 1
     }
 
-    /// Checks internal consistency.
+    /// Checks internal consistency, including that a described scene
+    /// parses.
     ///
     /// # Errors
     ///
@@ -244,6 +245,9 @@ impl AppConfig {
         }
         if self.write_chunk == 0 {
             return Err("write chunk must be nonzero".into());
+        }
+        if let SceneKind::Described(text) = &self.scene {
+            raytracer::sdl::parse(text).map_err(|e| e.to_string())?;
         }
         Ok(())
     }

@@ -37,7 +37,7 @@ impl RenderContext {
             SceneKind::FractalPyramid(depth) => scenes::fractal_pyramid(*depth),
             SceneKind::Described(text) => {
                 let desc = raytracer::sdl::parse(text)
-                    .expect("invalid scene description in configuration");
+                    .expect("AppConfig::validate parses the scene description");
                 (desc.scene, desc.camera)
             }
         };

@@ -11,27 +11,35 @@
 //!   communication agents ([`agent`]) in one (V2) then both (V3)
 //!   directions with ray bundling, and the pixel-queue fix (V4);
 //! * the **instrumentation points** of Figure 6 ([`tokens`]);
-//! * the **experiment runner** ([`run::run`]) wiring the application into the
-//!   simulated machine and the simulated ZM4;
+//! * the program as a [`pipeline::Workload`] ([`workload`]), so
+//!   [`pipeline::run_workload`] wires it into the simulated machine and
+//!   the simulated ZM4 — as it does the static-partitioning baseline
+//!   ([`static_partition::StaticConfig`]) and object partitioning
+//!   ([`objpart::ObjPartConfig`]);
 //! * the **evaluation** ([`analysis`]) that regenerates the paper's
 //!   Gantt tracks and utilization numbers.
+//!
+//! Pre-flight analysis plugs in through [`pipeline::Preflight`]; the
+//! analyzer crate supplies `analyzer::pipeline_warn` and
+//! `analyzer::pipeline_deny`.
 //!
 //! # Examples
 //!
 //! Measure servant utilization of version 2 on a small image:
 //!
 //! ```
+//! use pipeline::{run_workload, PipelineConfig};
 //! use raysim::analysis::servant_utilization;
 //! use raysim::config::{AppConfig, SceneKind, Version};
-//! use raysim::run::{run, RunConfig};
 //!
 //! let mut app = AppConfig::version(Version::V2);
 //! app.servants = 2;
 //! app.scene = SceneKind::Quickstart;
 //! app.width = 8;
 //! app.height = 8;
-//! let result = run(RunConfig::new(app));
+//! let result = run_workload(PipelineConfig::new(app));
 //! assert!(result.completed());
+//! assert!(result.output.image.mean_luminance() > 0.0);
 //! let report = servant_utilization(&result.trace, 2);
 //! assert!(report.mean > 0.0 && report.mean <= 1.0);
 //! ```
@@ -45,7 +53,6 @@ pub mod master;
 pub mod objpart;
 pub mod pixels;
 pub mod protocol;
-pub mod run;
 pub mod servant;
 pub mod static_partition;
 pub mod tokens;
@@ -53,5 +60,4 @@ pub mod workload;
 
 pub use config::{AppConfig, SceneKind, Version};
 pub use context::{AppStats, RenderContext};
-pub use run::{run, RunConfig, RunResult, TruncatedRun};
 pub use workload::RenderOutput;

@@ -12,10 +12,10 @@
 //!   their answers reduced ([`wavefront`]) — the communication and
 //!   master-reduction cost.
 //!
-//! [`run_object_partitioned`] executes the scheme on the simulated
-//! machine under the same monitoring as the ray-partitioned versions,
-//! so Gantt charts and utilization numbers are directly comparable
-//! (`ablation_object_partitioning`).
+//! [`ObjPartConfig`] is a [`pipeline::Workload`], so the scheme runs on
+//! the simulated machine under the same monitoring as the
+//! ray-partitioned versions, and Gantt charts and utilization numbers
+//! are directly comparable (`ablation_object_partitioning`).
 
 pub mod master;
 pub mod partition;
@@ -24,9 +24,10 @@ pub mod wavefront;
 
 use std::sync::Arc;
 
-use des::time::{SimDuration, SimTime};
+use des::time::SimDuration;
+use pipeline::{Harvest, TokenDecl, Workload};
 use raytracer::Framebuffer;
-use suprenum::NodeId;
+use suprenum::{Machine, NodeId};
 
 use crate::config::AppConfig;
 use crate::context::{AppStats, RenderContext, Shared};
@@ -60,100 +61,56 @@ impl ObjPartConfig {
     }
 }
 
-/// Result of an object-partitioned run.
-#[derive(Debug)]
-pub struct ObjRunResult {
-    /// How the run ended.
-    pub outcome: suprenum::RunOutcome,
+/// What an object-partitioned run folds out of the machine.
+#[derive(Debug, Clone)]
+pub struct ObjPartOutput {
     /// The rendered image.
     pub image: Framebuffer,
-    /// The merged monitoring trace.
-    pub trace: simple::Trace,
     /// Broadcast rounds executed.
     pub rounds: u32,
-    /// The machine (ground truth, stats, interconnect counters).
-    pub machine: suprenum::Machine,
     /// Largest per-servant geometry footprint, in objects — the memory
     /// argument for this scheme.
     pub max_objects_per_servant: usize,
 }
 
-impl ObjRunResult {
-    /// Returns `true` if the run completed.
-    pub fn completed(&self) -> bool {
-        self.outcome.reason == suprenum::RunEnd::Completed
+impl Workload for ObjPartConfig {
+    type Output = ObjPartOutput;
+
+    fn id(&self) -> &'static str {
+        "raytracer-objpart"
     }
 
-    /// Errors with a [`crate::run::TruncatedRun`] report if the run did
-    /// not complete — the same loud-failure contract as
-    /// [`crate::run::RunResult::ensure_completed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::run::TruncatedRun`] when the outcome is anything
-    /// but [`suprenum::RunEnd::Completed`].
-    pub fn ensure_completed(&self) -> Result<(), crate::run::TruncatedRun> {
-        if self.completed() {
-            Ok(())
-        } else {
-            Err(crate::run::TruncatedRun {
-                reason: self.outcome.reason,
-                end: self.outcome.end,
-                events: self.outcome.events,
-            })
-        }
+    fn validate(&self) -> Result<(), String> {
+        self.app.validate()
     }
-}
 
-/// Runs the object-partitioned renderer on the simulated machine.
-///
-/// # Panics
-///
-/// Panics if the application configuration is invalid.
-pub fn run_object_partitioned(cfg: ObjPartConfig, seed: u64, horizon: SimTime) -> ObjRunResult {
-    cfg.app
-        .validate()
-        .expect("invalid application configuration");
-    let nodes = cfg.app.servants as u32 + 1;
-    let machine_cfg = if nodes <= 16 {
-        suprenum::MachineConfig::single_cluster(nodes as u8)
-    } else {
-        let clusters = nodes.div_ceil(16) as u8;
-        suprenum::MachineConfig {
-            clusters,
-            torus_cols: 1,
-            ..suprenum::MachineConfig::single_cluster(16)
-        }
-    };
-    let mut machine = suprenum::Machine::new(machine_cfg, seed).expect("valid machine");
+    fn nodes_required(&self) -> u32 {
+        u32::from(self.app.servants) + 1
+    }
 
-    let cfg = Arc::new(cfg);
-    let ctx = RenderContext::new(&cfg.app);
-    let stats = Shared::new(AppStats::default());
-    let fb = Shared::new(Framebuffer::new(cfg.app.width, cfg.app.height));
-    let rounds = Shared::new(0u32);
-    let max_objects = ctx
-        .scene()
-        .primitive_count()
-        .div_ceil(cfg.app.servants as usize);
+    fn token_map(&self) -> Vec<TokenDecl> {
+        self.app.token_map()
+    }
 
-    let master = master::ObjMaster::new(cfg.clone(), ctx, stats, fb.clone(), rounds.clone());
-    machine.add_process(NodeId::new(0), master);
-    let outcome = machine.run(horizon);
+    fn launch(&self, machine: &mut Machine) -> Harvest<ObjPartOutput> {
+        let cfg = Arc::new(self.clone());
+        let ctx = RenderContext::new(&cfg.app);
+        let fb = Shared::new(Framebuffer::new(cfg.app.width, cfg.app.height));
+        let rounds = Shared::new(0u32);
+        let max_objects_per_servant = ctx
+            .scene()
+            .primitive_count()
+            .div_ceil(usize::from(cfg.app.servants));
+        let stats = Shared::new(AppStats::default());
+        let master = master::ObjMaster::new(cfg, ctx, stats, fb.clone(), rounds.clone());
+        machine.add_process(NodeId::new(0), master);
 
-    let samples = crate::run::probe_samples(&machine);
-    let channels = machine.topology().total_nodes() as usize;
-    let measurement = zm4::Zm4::new(zm4::Zm4Config::default(), channels, seed).observe(&samples);
-    let trace = crate::run::to_simple_trace(&measurement);
-
-    let image = fb.unwrap_or_clone();
-    let rounds = *rounds.borrow();
-    ObjRunResult {
-        outcome,
-        image,
-        trace,
-        rounds,
-        machine,
-        max_objects_per_servant: max_objects,
+        Box::new(move |_machine| ObjPartOutput {
+            // Taken, not cloned: a truncated run leaves the master alive
+            // holding its handle.
+            image: std::mem::take(&mut *fb.borrow_mut()),
+            rounds: *rounds.borrow(),
+            max_objects_per_servant,
+        })
     }
 }

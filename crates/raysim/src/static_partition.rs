@@ -14,17 +14,23 @@
 //! assigns pixel `i` to servant `i mod N` (a discontinuous subset). Both
 //! send each servant its entire partition as one job up front — there is
 //! no flow control and no load balancing, which is the point.
+//!
+//! [`StaticConfig`] is a [`pipeline::Workload`], so the baseline runs
+//! under the same monitoring as the ray-partitioned versions
+//! (`ablation_partitioning`).
 
 use std::sync::Arc;
 
+use pipeline::{Harvest, TokenDecl, Workload};
 use raytracer::Framebuffer;
-use suprenum::{Action, Message, NodeId, ProcCtx, Process, ProcessId, Resume};
+use suprenum::{Action, Machine, Message, NodeId, ProcCtx, Process, ProcessId, Resume};
 
-use crate::config::AppConfig;
+use crate::config::{AppConfig, Version};
 use crate::context::{AppStats, RenderContext, Shared};
 use crate::protocol::{JobMsg, ReadyMsg, ResultMsg};
 use crate::servant::Servant;
 use crate::tokens;
+use crate::workload::{launch_master, RenderOutput};
 
 /// How pixels are statically assigned to servants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +105,6 @@ pub struct StaticMaster {
     ctx: Arc<RenderContext>,
     stats: Shared<AppStats>,
     fb: Shared<Framebuffer>,
-    scheme: StaticScheme,
     state: SmState,
     servants: Vec<ProcessId>,
     ready: u32,
@@ -125,7 +130,6 @@ impl StaticMaster {
             ctx,
             stats,
             fb,
-            scheme,
             state: SmState::Boot,
             servants: Vec::new(),
             ready: 0,
@@ -135,11 +139,6 @@ impl StaticMaster {
             collected: Vec::new(),
             current_result_len: 0,
         })
-    }
-
-    /// The scheme in use.
-    pub fn scheme(&self) -> StaticScheme {
-        self.scheme
     }
 
     fn emit(&self, token: u16, param: u32) -> Action {
@@ -294,45 +293,46 @@ impl Process for StaticMaster {
     }
 }
 
-/// Runs the static-partitioning baseline with the given scheme. The
-/// `app` configuration supplies the scene, image and cost constants;
-/// its version/bundle/window fields are ignored (static partitioning
-/// has none). Servants deliver results directly (version-1 mechanics).
-pub fn run_static(
-    mut app: AppConfig,
-    scheme: StaticScheme,
-    seed: u64,
-    horizon: des::time::SimTime,
-) -> crate::run::RunResult {
-    app.version = crate::config::Version::V1;
-    app.validate().expect("invalid application configuration");
-    let machine_cfg = suprenum::MachineConfig::single_cluster((app.servants + 1) as u8);
-    let mut machine = suprenum::Machine::new(machine_cfg, seed).expect("valid machine");
+/// A statically partitioned run. `app` supplies the scene, image and
+/// cost constants; its version/bundle/window fields are ignored (static
+/// partitioning has none). Servants deliver results directly
+/// (version-1 mechanics).
+#[derive(Debug, Clone)]
+pub struct StaticConfig {
+    /// Scene, image, servant count and cost constants.
+    pub app: AppConfig,
+    /// How pixels are assigned to servants.
+    pub scheme: StaticScheme,
+}
 
-    let app = Arc::new(app);
-    let ctx = RenderContext::new(&app);
-    let stats = Shared::new(AppStats::default());
-    let fb = Shared::new(Framebuffer::new(app.width, app.height));
-    let master = StaticMaster::new(app.clone(), ctx, stats.clone(), fb.clone(), scheme);
-    machine.add_process(NodeId::new(0), master);
-    let outcome = machine.run(horizon);
+impl Workload for StaticConfig {
+    type Output = RenderOutput;
 
-    let samples = crate::run::probe_samples(&machine);
-    let channels = machine.topology().total_nodes() as usize;
-    let measurement = zm4::Zm4::new(zm4::Zm4Config::default(), channels, seed).observe(&samples);
-    let trace = crate::run::to_simple_trace(&measurement);
+    fn id(&self) -> &'static str {
+        "raytracer-static"
+    }
 
-    let image = fb.unwrap_or_clone();
-    let app_stats = *stats.borrow();
-    let intrusion = *machine.intrusion();
-    crate::run::RunResult {
-        outcome,
-        measurement,
-        trace,
-        image,
-        app_stats,
-        machine,
-        intrusion,
+    fn validate(&self) -> Result<(), String> {
+        self.app.validate()
+    }
+
+    fn nodes_required(&self) -> u32 {
+        u32::from(self.app.servants) + 1
+    }
+
+    fn token_map(&self) -> Vec<TokenDecl> {
+        self.app.token_map()
+    }
+
+    fn launch(&self, machine: &mut Machine) -> Harvest<RenderOutput> {
+        let app = AppConfig {
+            version: Version::V1,
+            ..self.app.clone()
+        };
+        let scheme = self.scheme;
+        launch_master(app, machine, |app, ctx, stats, fb| {
+            StaticMaster::new(app, ctx, stats, fb, scheme)
+        })
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use pipeline::{Harvest, OrderEdge, RunMetrics, TokenDecl, Workload};
 use raytracer::Framebuffer;
 use simple::Trace;
-use suprenum::{Machine, NodeId};
+use suprenum::{Machine, NodeId, Process};
 
 use crate::analysis::{servant_utilization, servant_utilization_steady, steady_phase, work_phase};
 use crate::config::AppConfig;
@@ -98,23 +98,7 @@ impl Workload for AppConfig {
     }
 
     fn launch(&self, machine: &mut Machine) -> Harvest<RenderOutput> {
-        let app = Arc::new(self.clone());
-        let ctx = RenderContext::new(&app);
-        let stats = Shared::new(AppStats::default());
-        let fb = Shared::new(Framebuffer::new(app.width, app.height));
-
-        let master = Master::new(app, ctx, stats.clone(), fb.clone());
-        machine.add_process(NodeId::new(0), master);
-
-        Box::new(move |_machine| {
-            // The image is *taken* out of the shared cell (leaving the
-            // empty default behind) instead of being deep-copied — a
-            // truncated run leaves the master alive holding its clone,
-            // so the handle is not necessarily unique.
-            let image = std::mem::take(&mut *fb.borrow_mut());
-            let stats = *stats.borrow();
-            RenderOutput { image, stats }
-        })
+        launch_master(self.clone(), machine, Master::new)
     }
 
     fn metrics(&self, trace: &Trace, truncated: bool, output: &RenderOutput) -> RunMetrics {
@@ -132,11 +116,41 @@ impl Workload for AppConfig {
     }
 }
 
+/// Installs the master `build` makes from the shared render state on
+/// node 0 and returns the harvest of the image and the counters — the
+/// launch every master/servant ray-tracer workload shares.
+pub(crate) fn launch_master<P: Process + 'static>(
+    app: AppConfig,
+    machine: &mut Machine,
+    build: impl FnOnce(
+        Arc<AppConfig>,
+        Arc<RenderContext>,
+        Shared<AppStats>,
+        Shared<Framebuffer>,
+    ) -> Box<P>,
+) -> Harvest<RenderOutput> {
+    let app = Arc::new(app);
+    let ctx = RenderContext::new(&app);
+    let stats = Shared::new(AppStats::default());
+    let fb = Shared::new(Framebuffer::new(app.width, app.height));
+    machine.add_process(NodeId::new(0), build(app, ctx, stats.clone(), fb.clone()));
+
+    Box::new(move |_machine| {
+        // The image is *taken* out of the shared cell (leaving the
+        // empty default behind) instead of being deep-copied — a
+        // truncated run leaves the master alive holding its clone, so
+        // the handle is not necessarily unique.
+        let image = std::mem::take(&mut *fb.borrow_mut());
+        let stats = *stats.borrow();
+        RenderOutput { image, stats }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{SceneKind, Version};
-    use pipeline::{run_workload, PipelineConfig};
+    use pipeline::{run_workload, try_run_workload, PipelineConfig, PipelineError};
 
     fn tiny_app(version: Version) -> AppConfig {
         let mut app = AppConfig::version(version);
@@ -156,6 +170,35 @@ mod tests {
         let metrics = result.metrics(&tiny_app(Version::V4));
         assert_eq!(metrics.work_units, result.output.stats.jobs_sent);
         assert!(metrics.utilization_percent.is_some());
+    }
+
+    // A truncated run leaves the master alive holding its framebuffer
+    // handle; the harvest must still hand the image back (by take, not
+    // by clone) without panicking.
+    #[test]
+    fn truncated_run_still_yields_the_image() {
+        let mut cfg = PipelineConfig::new(tiny_app(Version::V4));
+        cfg.horizon = des::time::SimTime::from_millis(1);
+        let result = run_workload(cfg);
+        assert!(result.truncated());
+        assert!(result.ensure_completed().is_err());
+        // 8×8 was allocated; the take preserves the real buffer.
+        assert_eq!(result.output.image.pixel_count(), 64);
+    }
+
+    #[test]
+    fn bad_scene_description_fails_validation_not_the_launch() {
+        let mut cfg = PipelineConfig::new(tiny_app(Version::V4));
+        cfg.workload.scene = SceneKind::from_description(
+            "camera eye 0 0 0 target 0 0 -1 up 0 1 0 fov 60 aspect NaN",
+        );
+        let Err(PipelineError::Invalid(msg)) = try_run_workload(cfg) else {
+            panic!("a bad scene must fail validation");
+        };
+        assert!(
+            msg.contains("line 1") && msg.contains("not a finite number"),
+            "{msg}"
+        );
     }
 
     #[test]

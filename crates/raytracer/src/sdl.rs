@@ -95,8 +95,17 @@ impl<'a> LineParser<'a> {
 
     fn number(&mut self) -> Result<f64, ParseSceneError> {
         let w = self.word()?;
-        w.parse::<f64>()
-            .map_err(|_| ParseSceneError::new(self.line, format!("'{w}' is not a number")))
+        match w.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            Ok(_) => Err(ParseSceneError::new(
+                self.line,
+                format!("'{w}' is not a finite number"),
+            )),
+            Err(_) => Err(ParseSceneError::new(
+                self.line,
+                format!("'{w}' is not a number"),
+            )),
+        }
     }
 
     fn vec3(&mut self) -> Result<Vec3, ParseSceneError> {
@@ -123,8 +132,9 @@ impl<'a> LineParser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseSceneError`] naming the offending line for any
-/// syntax problem, unknown directive, undefined material reference, or
-/// missing camera.
+/// syntax problem, non-finite number, unknown directive, undefined
+/// material reference, degenerate camera (eye at the target, or `up`
+/// zero or parallel to the view direction), or missing camera.
 ///
 /// # Examples
 ///
@@ -194,6 +204,15 @@ pub fn parse(text: &str) -> Result<SceneDescription, ParseSceneError> {
                 }
                 if aspect <= 0.0 {
                     return Err(ParseSceneError::new(line_no, "aspect must be positive"));
+                }
+                if (eye - target).length() < 1e-9 {
+                    return Err(ParseSceneError::new(line_no, "eye and target must differ"));
+                }
+                if up.cross(eye - target).length() < 1e-9 {
+                    return Err(ParseSceneError::new(
+                        line_no,
+                        "up must be nonzero and not parallel to the view direction",
+                    ));
                 }
                 camera = Some(Camera::look_at(eye, target, up, fov, aspect));
             }
@@ -579,6 +598,35 @@ mod tests {
         assert!(parse(&with_camera("ambient a b c")).is_err());
         assert!(parse("camera eye 0 0 0 target 0 0 -1 up 0 1 0 fov 200 aspect 1").is_err());
         assert!(parse("sphere trailing").is_err());
+
+        // Non-finite numbers and degenerate cameras are named errors on
+        // their line, never a panic or a NaN scene.
+        let cam = |eye: &str, up: &str, aspect: &str| {
+            format!("camera eye {eye} target 1 2 -1 up {up} fov 60 aspect {aspect}")
+        };
+        let material = "material m color 1 1 1 ambient 0.1 diffuse 1 specular 0 shininess 1 \
+                        reflect 0 transparency 0 ior 1";
+        let scene = |shape: &str| with_camera(&format!("{material}\n{shape} material m"));
+        for (text, line) in [
+            (cam("1 2 3", "0 1 0", "NaN"), 1),
+            (cam("NaN 2 3", "0 1 0", "1"), 1),
+            (cam("1 2 3", "0 inf 0", "1"), 1),
+            (scene("sphere center 0 0 0 radius NaN"), 3),
+            (scene("triangle a 0 0 0 b NaN 0 0 c 0 1 0"), 3),
+            (scene("plane point 0 0 0 normal 0 NaN 0"), 3),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert_eq!(err.line(), line, "{err}");
+            assert!(err.to_string().contains("is not a finite number"), "{err}");
+        }
+        let err = parse(&cam("1 2 -1", "0 1 0", "1")).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("line 1: eye and target must differ"));
+        let err = parse(&cam("1 2 3", "0 0 2", "1")).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("line 1: up must be nonzero and not parallel"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example jacobi_spmd`
 
-use suprenum_monitor::apps::jacobi::{run_jacobi, worker_activity_model, JacobiConfig};
+use suprenum_monitor::pipeline::jacobi::{worker_activity_model, JacobiConfig};
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
 use suprenum_monitor::simple::Gantt;
 
 fn main() {
@@ -19,13 +20,17 @@ fn main() {
     };
     let workers = cfg.workers;
     println!("running {workers}-worker Jacobi relaxation on the simulated SUPRENUM...");
-    let r = run_jacobi(cfg, 1992);
+    let r = run_workload(PipelineConfig::new(cfg));
+    assert!(r.completed(), "run failed: {:?}", r.outcome);
     println!(
         "done at simulated t={} — max error vs sequential reference: {:e}",
         r.machine.now(),
-        r.max_error
+        r.output.max_error
     );
-    assert_eq!(r.max_error, 0.0, "distributed result must match exactly");
+    assert_eq!(
+        r.output.max_error, 0.0,
+        "distributed result must match exactly"
+    );
 
     let (from, to) = r.trace.span();
     let model = worker_activity_model();

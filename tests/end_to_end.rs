@@ -3,16 +3,21 @@
 //! the monitor's view validated against the simulator's ground truth.
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::harness::trace_digest;
+use suprenum_monitor::pipeline::jacobi::JacobiConfig;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig, PipelineResult, Workload};
 use suprenum_monitor::raysim::analysis::{
     causality_rules, servant_track, servant_utilization, work_phase,
 };
 use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
-use suprenum_monitor::raysim::run::{run, RunConfig};
+use suprenum_monitor::raysim::objpart::ObjPartConfig;
+use suprenum_monitor::raysim::static_partition::{StaticConfig, StaticScheme};
 use suprenum_monitor::raysim::tokens;
+use suprenum_monitor::raytracer::{scenes, Camera, Framebuffer, Scene, TraceConfig, Tracer};
 use suprenum_monitor::simple::check_causality;
 use suprenum_monitor::suprenum::ProcState;
 
-fn small_run(version: Version, seed: u64) -> suprenum_monitor::raysim::run::RunResult {
+fn small_run(version: Version, seed: u64) -> PipelineResult<AppConfig> {
     let mut app = AppConfig::version(version);
     app.servants = 4;
     app.scene = SceneKind::Quickstart;
@@ -21,10 +26,43 @@ fn small_run(version: Version, seed: u64) -> suprenum_monitor::raysim::run::RunR
     app.bundle_size = app.bundle_size.min(4);
     app.pixel_queue_capacity = 64;
     app.write_chunk = 4;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.seed = seed;
     cfg.horizon = SimTime::from_secs(36_000);
-    run(cfg)
+    run_workload(cfg)
+}
+
+/// Runs `app` under a generous horizon and asserts it completed.
+fn run_to_completion(app: AppConfig) -> PipelineResult<AppConfig> {
+    let mut cfg = PipelineConfig::new(app);
+    cfg.horizon = SimTime::from_secs(36_000);
+    let result = run_workload(cfg);
+    assert!(result.completed(), "{:?}", result.outcome);
+    result
+}
+
+/// Asserts `image` is `w`×`h` and pixel-exact against rendering
+/// `scene` through `camera` sequentially, with `oversample`² rays per
+/// pixel.
+fn assert_matches_sequential(
+    image: &Framebuffer,
+    (w, h): (u32, u32),
+    scene: &Scene,
+    camera: &Camera,
+    oversample: u32,
+) {
+    assert_eq!((image.width(), image.height()), (w, h), "image size");
+    let tracer = Tracer::new(scene, TraceConfig::default());
+    for y in 0..h {
+        for x in 0..w {
+            let (expected, _) = tracer.render_pixel(camera, x, y, w, h, oversample);
+            assert_eq!(
+                image.get(x, y).to_rgb8(),
+                expected.to_rgb8(),
+                "pixel ({x},{y}) differs from the sequential render"
+            );
+        }
+    }
 }
 
 #[test]
@@ -32,17 +70,17 @@ fn run_completes_and_renders_the_image() {
     let result = small_run(Version::V2, 9);
     assert!(result.completed());
     // All 256 pixels written with actual scene content.
-    assert_eq!(result.image.pixel_count(), 256);
+    assert_eq!(result.output.image.pixel_count(), 256);
     assert!(
-        result.image.mean_luminance() > 0.05,
+        result.output.image.mean_luminance() > 0.05,
         "image is black — pixels lost"
     );
     // Every job produced a result.
     assert_eq!(
-        result.app_stats.jobs_sent,
-        result.app_stats.results_received
+        result.output.stats.jobs_sent,
+        result.output.stats.results_received
     );
-    assert!(result.app_stats.disk_writes > 0);
+    assert!(result.output.stats.disk_writes > 0);
 }
 
 #[test]
@@ -50,22 +88,8 @@ fn parallel_render_matches_sequential_render() {
     let result = small_run(Version::V4, 5);
     assert!(result.completed());
     // Render the same image sequentially with the same tracer settings.
-    let (scene, camera) = suprenum_monitor::raytracer::scenes::quickstart_scene();
-    let tracer = suprenum_monitor::raytracer::Tracer::new(
-        &scene,
-        suprenum_monitor::raytracer::TraceConfig::default(),
-    );
-    for y in 0..16 {
-        for x in 0..16 {
-            let (expected, _) = tracer.render_pixel(&camera, x, y, 16, 16, 1);
-            let got = result.image.get(x, y);
-            assert_eq!(
-                got.to_rgb8(),
-                expected.to_rgb8(),
-                "pixel ({x},{y}) differs from the sequential render"
-            );
-        }
-    }
+    let (scene, camera) = scenes::quickstart_scene();
+    assert_matches_sequential(&result.output.image, (16, 16), &scene, &camera, 1);
 }
 
 #[test]
@@ -139,7 +163,7 @@ fn runs_are_bit_deterministic() {
     for (x, y) in a.trace.events().iter().zip(b.trace.events()) {
         assert_eq!(x, y);
     }
-    assert_eq!(a.image, b.image);
+    assert_eq!(a.output.image, b.output.image);
 
     // A different seed still completes but yields a different timeline
     // when stochastic elements exist; with none, the timeline may match —
@@ -174,10 +198,7 @@ fn window_flow_control_is_respected() {
     app.width = 8;
     app.height = 8;
     app.pixel_queue_capacity = 64;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_to_completion(app);
 
     // Outstanding jobs overall never exceed servants x window.
     let mut outstanding: i64 = 0;
@@ -207,16 +228,16 @@ fn ray_tracer_spans_clusters_over_the_torus() {
     app.bundle_size = 4;
     app.pixel_queue_capacity = 256;
     app.write_chunk = 8;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.machine = suprenum_monitor::suprenum::MachineConfig {
         clusters: 2,
         torus_cols: 1,
         ..suprenum_monitor::suprenum::MachineConfig::single_cluster(16)
     };
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
-    assert!(result.image.mean_luminance() > 0.05);
+    assert!(result.output.image.mean_luminance() > 0.05);
     // Inter-cluster messages actually flowed.
     let ic = result.machine.interconnect_stats();
     assert!(
@@ -238,17 +259,68 @@ fn ray_tracer_spans_clusters_over_the_torus() {
     assert!(report.is_clean(), "{report:?}");
 }
 
-#[test]
-fn object_partitioning_renders_the_same_image() {
-    use suprenum_monitor::raysim::objpart::{run_object_partitioned, ObjPartConfig};
-    let mut app = AppConfig::version(Version::V1);
+/// The small fixed shape the pinned digests below were recorded with:
+/// three servants, the quickstart scene, a 12×12 image.
+fn pinned_app(version: Version) -> AppConfig {
+    let mut app = AppConfig::version(version);
     app.servants = 3;
     app.scene = SceneKind::Quickstart;
     app.width = 12;
     app.height = 12;
-    let cfg = ObjPartConfig::new(app);
-    let r = run_object_partitioned(cfg, 7, SimTime::from_secs(36_000));
+    app
+}
+
+fn pinned_cfg<W: Workload>(workload: W) -> PipelineConfig<W> {
+    let mut cfg = PipelineConfig::new(workload);
+    cfg.seed = 7;
+    cfg.horizon = SimTime::from_secs(36_000);
+    cfg
+}
+
+fn digest_of<W: Workload>(cfg: PipelineConfig<W>) -> String {
+    let r = run_workload(cfg);
     assert!(r.completed(), "{:?}", r.outcome);
+    trace_digest(
+        &r.trace,
+        r.outcome.end.as_nanos(),
+        r.outcome.reason,
+        r.outcome.events,
+    )
+}
+
+/// Static partitioning, object partitioning and Jacobi once ran
+/// through hand-rolled runners of their own, the first two observing
+/// through the pattern-level monitor. These digests were recorded from
+/// those runners; matching them shows that `run_workload`, with direct
+/// decoding, measures the same trace, end time and event count.
+#[test]
+fn moved_runners_keep_their_pinned_digests() {
+    for (scheme, expected) in [
+        (StaticScheme::Contiguous, "b04f425a8e0a50c2"),
+        (StaticScheme::Interleaved, "9224f235b2c8a34b"),
+    ] {
+        let workload = StaticConfig {
+            app: pinned_app(Version::V4),
+            scheme,
+        };
+        assert_eq!(digest_of(pinned_cfg(workload)), expected, "{scheme}");
+    }
+    let objpart = ObjPartConfig::new(pinned_app(Version::V1));
+    assert_eq!(digest_of(pinned_cfg(objpart)), "36a35ad71b11a675");
+    let mut jacobi = PipelineConfig::new(JacobiConfig {
+        workers: 3,
+        iterations: 10,
+        ..JacobiConfig::default()
+    });
+    jacobi.seed = 5;
+    assert_eq!(digest_of(jacobi), "1ada72db12611755");
+}
+
+#[test]
+fn object_partitioning_renders_the_same_image() {
+    let r = run_workload(pinned_cfg(ObjPartConfig::new(pinned_app(Version::V1))));
+    assert!(r.completed(), "{:?}", r.outcome);
+    let r = r.output;
     assert!(
         r.rounds >= 2,
         "Whitted needs multiple wavefront generations"
@@ -259,22 +331,8 @@ fn object_partitioning_renders_the_same_image() {
         "quickstart has 4 primitives over 3 partitions"
     );
 
-    // Pixel-exact against the sequential tracer.
-    let (scene, camera) = suprenum_monitor::raytracer::scenes::quickstart_scene();
-    let tracer = suprenum_monitor::raytracer::Tracer::new(
-        &scene,
-        suprenum_monitor::raytracer::TraceConfig::default(),
-    );
-    for y in 0..12 {
-        for x in 0..12 {
-            let (expected, _) = tracer.render_pixel(&camera, x, y, 12, 12, 1);
-            assert_eq!(
-                r.image.get(x, y).to_rgb8(),
-                expected.to_rgb8(),
-                "pixel ({x},{y}) differs under object partitioning"
-            );
-        }
-    }
+    let (scene, camera) = scenes::quickstart_scene();
+    assert_matches_sequential(&r.image, (12, 12), &scene, &camera, 1);
 }
 
 #[test]
@@ -292,33 +350,19 @@ fn oversampling_is_organized_by_the_master() {
     app.bundle_size = 8;
     app.pixel_queue_capacity = 144;
     app.write_chunk = 16;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_to_completion(app);
 
-    let (scene, camera) = suprenum_monitor::raytracer::scenes::quickstart_scene();
-    let tracer = suprenum_monitor::raytracer::Tracer::new(
-        &scene,
-        suprenum_monitor::raytracer::TraceConfig::default(),
-    );
-    let mut any_differs_from_1x = false;
-    for y in 0..12 {
-        for x in 0..12 {
-            let (expected, _) = tracer.render_pixel(&camera, x, y, 12, 12, 2);
-            assert_eq!(
-                result.image.get(x, y).to_rgb8(),
-                expected.to_rgb8(),
-                "pixel ({x},{y}) differs from sequential 2x2 oversampling"
-            );
-            let (plain, _) = tracer.render_pixel(&camera, x, y, 12, 12, 1);
-            if plain.to_rgb8() != expected.to_rgb8() {
-                any_differs_from_1x = true;
-            }
-        }
-    }
+    let image = &result.output.image;
+    let (scene, camera) = scenes::quickstart_scene();
+    assert_matches_sequential(image, (12, 12), &scene, &camera, 2);
+    let tracer = Tracer::new(&scene, TraceConfig::default());
+    let differs_from_1x = |(x, y)| {
+        tracer.render_pixel(&camera, x, y, 12, 12, 1).0.to_rgb8() != image.get(x, y).to_rgb8()
+    };
     assert!(
-        any_differs_from_1x,
+        (0..12)
+            .flat_map(|y| (0..12).map(move |x| (x, y)))
+            .any(differs_from_1x),
         "oversampling had no visible effect anywhere"
     );
 }
@@ -328,7 +372,7 @@ fn servants_render_from_a_scene_description_file() {
     // The servants' initialization reads "the scene description file";
     // feed the pipeline a serialized description and verify the render.
     use suprenum_monitor::raytracer::sdl;
-    let (scene, _) = suprenum_monitor::raytracer::scenes::quickstart_scene();
+    let (scene, _) = scenes::quickstart_scene();
     let spec = sdl::CameraSpec {
         eye: suprenum_monitor::raytracer::Vec3::new(0.0, 1.0, 2.0),
         target: suprenum_monitor::raytracer::Vec3::new(0.0, 0.0, -6.0),
@@ -344,23 +388,11 @@ fn servants_render_from_a_scene_description_file() {
     app.width = 10;
     app.height = 10;
     app.pixel_queue_capacity = 100;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_to_completion(app);
 
     // Compare against rendering the parsed description sequentially.
     let desc = sdl::parse(&text).unwrap();
-    let tracer = suprenum_monitor::raytracer::Tracer::new(
-        &desc.scene,
-        suprenum_monitor::raytracer::TraceConfig::default(),
-    );
-    for y in 0..10 {
-        for x in 0..10 {
-            let (expected, _) = tracer.render_pixel(&desc.camera, x, y, 10, 10, 1);
-            assert_eq!(result.image.get(x, y).to_rgb8(), expected.to_rgb8());
-        }
-    }
+    assert_matches_sequential(&result.output.image, (10, 10), &desc.scene, &desc.camera, 1);
 }
 
 #[test]
@@ -375,15 +407,12 @@ fn partial_bundles_cover_ragged_images() {
     app.bundle_size = 16;
     app.pixel_queue_capacity = 225;
     app.write_chunk = 16;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_to_completion(app);
     assert_eq!(
-        result.app_stats.jobs_sent,
+        result.output.stats.jobs_sent,
         225f64.div_euclid(16.0) as u64 + 1
     );
-    assert!(result.image.mean_luminance() > 0.05);
+    assert!(result.output.image.mean_luminance() > 0.05);
 }
 
 #[test]
@@ -397,10 +426,10 @@ fn write_chunk_larger_than_image_still_flushes() {
     app.height = 8;
     app.pixel_queue_capacity = 64;
     app.write_chunk = 10_000;
-    let mut cfg = RunConfig::new(app);
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
-    assert_eq!(result.app_stats.disk_writes, 1, "one final flush expected");
-    assert!(result.image.mean_luminance() > 0.05);
+    let result = run_to_completion(app);
+    assert_eq!(
+        result.output.stats.disk_writes, 1,
+        "one final flush expected"
+    );
+    assert!(result.output.image.mean_luminance() > 0.05);
 }
