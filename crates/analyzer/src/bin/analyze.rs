@@ -20,13 +20,6 @@
 //!                      default). Race warnings stay warnings unless
 //!                      --strict, which denies them (escalates
 //!                      AN-RACE-* warnings to errors)
-//!   --structural       run the place/transition-net layer on its own
-//!                      and append a structural report per version:
-//!                      P-invariant certificates, siphon/trap deadlock
-//!                      analysis, and the synthesized minimal safe
-//!                      pixel-queue capacity (AN-STRUCT-*). These
-//!                      proofs are polynomial-time and hold for any
-//!                      shape size — no state budget involved
 //! ```
 //!
 //! `--json` reports also carry a `timings` array with per-layer wall
@@ -59,7 +52,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("{problem}");
     eprintln!(
         "usage: analyze [v1|v2|v3|v4 ...] [--deep] [--fail-on info|warning|error] \
-         [--strict] [--json PATH] [--sarif PATH] [--preemptive] [--races] [--structural]"
+         [--strict] [--json PATH] [--sarif PATH] [--preemptive] [--races]"
     );
     ExitCode::from(2)
 }
@@ -80,7 +73,6 @@ fn main() -> ExitCode {
     let mut strict = false;
     let mut preemptive = false;
     let mut races = false;
-    let mut structural = false;
     let mut json_path: Option<String> = None;
     let mut sarif_path: Option<String> = None;
 
@@ -94,7 +86,6 @@ fn main() -> ExitCode {
             "--deep" => deep = true,
             "--preemptive" => preemptive = true,
             "--races" => races = true,
-            "--structural" => structural = true,
             "--fail-on" => match args.next().as_deref().map(Severity::parse) {
                 Some(Some(level)) => fail_on = Some(level),
                 _ => return usage("--fail-on needs a level: info|warning|error"),
@@ -183,17 +174,6 @@ fn main() -> ExitCode {
                     eprintln!("strict mode: {raised} race warning(s) denied for {version}");
                 }
             }
-            println!("== {} ==", report.subject);
-            print!("{}", report.render());
-            println!();
-            worst = worst.max(report.max_severity());
-            reports.push(report);
-        }
-    }
-
-    if structural {
-        for &version in &versions {
-            let report = analyzer::check_structural(&AppConfig::version(version));
             println!("== {} ==", report.subject);
             print!("{}", report.render());
             println!();

@@ -91,7 +91,6 @@ pub use race::{
 pub use rate::{analyze_rate, predict, RatePrediction};
 pub use render::{report_json, reports_json, reports_json_with_timings, sarif, SubjectTimings};
 pub use structural::{
-    analyze_structural, check_structural, DeadlockVerdict, PInvariant, PetriNet, ProtocolNet,
-    StructuralVerdict,
+    analyze_structural, DeadlockVerdict, PInvariant, PetriNet, ProtocolNet, StructuralVerdict,
 };
 pub use token_lints::{lint_pair, lint_stock_maps, TokenDecl, TokenMap};

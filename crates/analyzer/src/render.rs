@@ -9,8 +9,8 @@
 //!   distinct diagnostic code, one result per finding, with the
 //!   structured [`Location`] mapped to a SARIF logical location.
 //!
-//! Both are hand-rendered (stable key order, two-space indentation) —
-//! the workspace is offline and carries no serde; determinism matters
+//! Both are [`simple::json::Value`] trees with a stable key order,
+//! rendered by the workspace's one JSON writer — determinism matters
 //! more than generality because the V1–V4 outputs are golden-snapshot
 //! tested.
 //!
@@ -19,124 +19,54 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::diag::{Location, Report};
+use simple::json::Value;
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::diag::{Location, Report, Severity};
 
-fn str_array(items: &[String], indent: &str) -> String {
-    if items.is_empty() {
-        return "[]".to_owned();
-    }
-    let inner: Vec<String> = items
-        .iter()
-        .map(|s| format!("{indent}  \"{}\"", escape(s)))
-        .collect();
-    format!("[\n{}\n{indent}]", inner.join(",\n"))
-}
-
-fn location_json(location: &Location, indent: &str) -> String {
-    let mut fields = vec![format!("\"kind\": \"{}\"", location.kind())];
+fn location(location: &Location) -> Value {
+    let mut fields = vec![("kind", location.kind().into())];
     match location {
         Location::None => {}
         Location::Config { field, value } => {
-            fields.push(format!("\"field\": \"{}\"", escape(field)));
-            fields.push(format!("\"value\": \"{}\"", escape(value)));
+            fields.push(("field", field.as_str().into()));
+            fields.push(("value", value.as_str().into()));
         }
-        Location::Token { token } => fields.push(format!("\"token\": {token}")),
+        Location::Token { token } => fields.push(("token", (*token).into())),
         Location::Sim { time_ns, channel } => {
-            fields.push(format!("\"time_ns\": {time_ns}"));
-            fields.push(format!("\"channel\": {channel}"));
+            fields.push(("time_ns", (*time_ns).into()));
+            fields.push(("channel", (*channel).into()));
         }
         Location::Model { path } => {
-            fields.push(format!(
-                "\"path\": {}",
-                str_array(path, &format!("{indent}  "))
-            ));
+            fields.push(("path", path.iter().map(String::as_str).collect()));
         }
     }
-    let inner: Vec<String> = fields
-        .into_iter()
-        .map(|f| format!("{indent}  {f}"))
-        .collect();
-    format!("{{\n{}\n{indent}}}", inner.join(",\n"))
+    Value::object(fields)
 }
 
-/// Renders one report as a JSON object at `indent` nesting levels.
-pub fn report_json_at(report: &Report, level: usize) -> String {
-    let pad = "  ".repeat(level);
-    let mut out = String::new();
-    let _ = writeln!(out, "{pad}{{");
-    let _ = writeln!(out, "{pad}  \"subject\": \"{}\",", escape(&report.subject));
-    let _ = writeln!(out, "{pad}  \"errors\": {},", report.errors());
-    let _ = writeln!(out, "{pad}  \"warnings\": {},", report.warnings());
-    let _ = writeln!(
-        out,
-        "{pad}  \"info\": {},",
-        report.count(crate::diag::Severity::Info)
-    );
-    if report.findings.is_empty() {
-        let _ = writeln!(out, "{pad}  \"findings\": []");
-    } else {
-        let _ = writeln!(out, "{pad}  \"findings\": [");
-        let items: Vec<String> = report
-            .findings
-            .iter()
-            .map(|f| {
-                let fp = format!("{pad}    ");
-                let mut o = String::new();
-                let _ = writeln!(o, "{fp}{{");
-                let _ = writeln!(o, "{fp}  \"code\": \"{}\",", escape(f.code));
-                let _ = writeln!(o, "{fp}  \"severity\": \"{}\",", f.severity);
-                let _ = writeln!(o, "{fp}  \"message\": \"{}\",", escape(&f.message));
-                let _ = writeln!(o, "{fp}  \"span\": \"{}\",", escape(&f.span));
-                let _ = writeln!(
-                    o,
-                    "{fp}  \"location\": {},",
-                    location_json(&f.location, &format!("{fp}  "))
-                );
-                let _ = writeln!(
-                    o,
-                    "{fp}  \"notes\": {},",
-                    str_array(&f.notes, &format!("{fp}  "))
-                );
-                let _ = writeln!(
-                    o,
-                    "{fp}  \"helps\": {}",
-                    str_array(&f.helps, &format!("{fp}  "))
-                );
-                let _ = write!(o, "{fp}}}");
-                o
-            })
-            .collect();
-        let _ = writeln!(out, "{}", items.join(",\n"));
-        let _ = writeln!(out, "{pad}  ]");
-    }
-    let _ = write!(out, "{pad}}}");
-    out
+fn report_value(report: &Report) -> Value {
+    let findings = report.findings.iter().map(|f| {
+        Value::object([
+            ("code", f.code.into()),
+            ("severity", f.severity.to_string().into()),
+            ("message", f.message.as_str().into()),
+            ("span", f.span.as_str().into()),
+            ("location", location(&f.location)),
+            ("notes", f.notes.iter().map(String::as_str).collect()),
+            ("helps", f.helps.iter().map(String::as_str).collect()),
+        ])
+    });
+    Value::object([
+        ("subject", report.subject.as_str().into()),
+        ("errors", report.errors().into()),
+        ("warnings", report.warnings().into()),
+        ("info", report.count(Severity::Info).into()),
+        ("findings", findings.collect()),
+    ])
 }
 
 /// Renders one report as a standalone JSON document.
 pub fn report_json(report: &Report) -> String {
-    let mut out = report_json_at(report, 0);
-    out.push('\n');
-    out
+    format!("{}\n", report_value(report))
 }
 
 /// Renders several reports as one JSON document: an object with a
@@ -153,36 +83,27 @@ pub fn reports_json(reports: &[Report]) -> String {
 pub type SubjectTimings = (String, Vec<(&'static str, f64)>);
 
 /// [`reports_json`] plus a `timings` array reporting per-layer analysis
-/// wall time for each subject. An empty `timings` slice renders the
-/// exact [`reports_json`] document.
+/// wall time for each subject, in milliseconds with three decimals. An
+/// empty `timings` slice renders the exact [`reports_json`] document.
 pub fn reports_json_with_timings(reports: &[Report], timings: &[SubjectTimings]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema_version\": 1,\n  \"reports\": [\n");
-    let items: Vec<String> = reports.iter().map(|r| report_json_at(r, 2)).collect();
-    out.push_str(&items.join(",\n"));
-    out.push_str("\n  ]");
+    let mut root = vec![
+        ("schema_version", 1u64.into()),
+        ("reports", reports.iter().map(report_value).collect()),
+    ];
     if !timings.is_empty() {
-        out.push_str(",\n  \"timings\": [\n");
-        let items: Vec<String> = timings
-            .iter()
-            .map(|(subject, layers)| {
-                let mut o = String::new();
-                let _ = writeln!(o, "    {{");
-                let _ = writeln!(o, "      \"subject\": \"{}\",", escape(subject));
-                let fields: Vec<String> = layers
-                    .iter()
-                    .map(|(key, ms)| format!("      \"{key}\": {ms:.3}"))
-                    .collect();
-                let _ = writeln!(o, "{}", fields.join(",\n"));
-                let _ = write!(o, "    }}");
-                o
-            })
-            .collect();
-        out.push_str(&items.join(",\n"));
-        out.push_str("\n  ]");
+        let timings = timings.iter().map(|(subject, layers)| {
+            let layers = layers
+                .iter()
+                .map(|&(key, ms)| (key, Value::Number(format!("{ms:.3}"))));
+            Value::object(
+                [("subject", subject.as_str().into())]
+                    .into_iter()
+                    .chain(layers),
+            )
+        });
+        root.push(("timings", timings.collect()));
     }
-    out.push_str("\n}\n");
-    out
+    format!("{}\n", Value::object(root))
 }
 
 /// Renders reports as one SARIF 2.1.0 log with a single run.
@@ -201,46 +122,17 @@ pub fn sarif(reports: &[Report]) -> String {
     }
     let rule_index: BTreeMap<&str, usize> =
         rules.keys().enumerate().map(|(i, &c)| (c, i)).collect();
+    let text = |s: &str| Value::object([("text", s.into())]);
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"suprenum-analyzer\",\n");
-    out.push_str(
-        "          \"informationUri\": \"https://github.com/suprenum-monitor/suprenum-monitor\",\n",
-    );
-    if rules.is_empty() {
-        out.push_str("          \"rules\": []\n");
-    } else {
-        out.push_str("          \"rules\": [\n");
-        let items: Vec<String> = rules
-            .iter()
-            .map(|(code, desc)| {
-                format!(
-                    "            {{\n              \"id\": \"{}\",\n              \
-                     \"shortDescription\": {{ \"text\": \"{}\" }}\n            }}",
-                    escape(code),
-                    escape(desc)
-                )
-            })
-            .collect();
-        out.push_str(&items.join(",\n"));
-        out.push_str("\n          ]\n");
-    }
-    out.push_str("        }\n      },\n");
-
-    let mut results: Vec<String> = Vec::new();
+    let mut results: Vec<Value> = Vec::new();
     for report in reports {
         for f in &report.findings {
-            let mut text = f.message.clone();
+            let mut message = f.message.clone();
             for n in &f.notes {
-                let _ = write!(text, "\nnote: {n}");
+                let _ = write!(message, "\nnote: {n}");
             }
             for h in &f.helps {
-                let _ = write!(text, "\nhelp: {h}");
+                let _ = write!(message, "\nhelp: {h}");
             }
             let logical = if f.span.is_empty() {
                 report.subject.clone()
@@ -251,28 +143,46 @@ pub fn sarif(reports: &[Report]) -> String {
                 Location::None => logical,
                 loc => loc.logical_name(),
             };
-            results.push(format!(
-                "        {{\n          \"ruleId\": \"{}\",\n          \"ruleIndex\": {},\n          \
-                 \"level\": \"{}\",\n          \"message\": {{ \"text\": \"{}\" }},\n          \
-                 \"locations\": [\n            {{\n              \"logicalLocations\": [\n                \
-                 {{ \"fullyQualifiedName\": \"{}\" }}\n              ]\n            }}\n          ]\n        }}",
-                escape(f.code),
-                rule_index[f.code],
-                f.severity.sarif_level(),
-                escape(&text),
-                escape(&qualified),
-            ));
+            let logical_location = Value::object([("fullyQualifiedName", qualified.into())]);
+            results.push(Value::object([
+                ("ruleId", f.code.into()),
+                ("ruleIndex", rule_index[f.code].into()),
+                ("level", f.severity.sarif_level().into()),
+                ("message", text(&message)),
+                (
+                    "locations",
+                    Value::Array(vec![Value::object([(
+                        "logicalLocations",
+                        Value::Array(vec![logical_location]),
+                    )])]),
+                ),
+            ]));
         }
     }
-    if results.is_empty() {
-        out.push_str("      \"results\": []\n");
-    } else {
-        out.push_str("      \"results\": [\n");
-        out.push_str(&results.join(",\n"));
-        out.push_str("\n      ]\n");
-    }
-    out.push_str("    }\n  ]\n}\n");
-    out
+    let rules = rules.iter().map(|(&code, &desc)| {
+        Value::object([("id", code.into()), ("shortDescription", text(desc))])
+    });
+    let driver = Value::object([
+        ("name", "suprenum-analyzer".into()),
+        (
+            "informationUri",
+            "https://github.com/suprenum-monitor/suprenum-monitor".into(),
+        ),
+        ("rules", rules.collect()),
+    ]);
+    let run = Value::object([
+        ("tool", Value::object([("driver", driver)])),
+        ("results", Value::Array(results)),
+    ]);
+    let log = Value::object([
+        (
+            "$schema",
+            "https://json.schemastore.org/sarif-2.1.0.json".into(),
+        ),
+        ("version", "2.1.0".into()),
+        ("runs", Value::Array(vec![run])),
+    ]);
+    format!("{log}\n")
 }
 
 #[cfg(test)]
@@ -294,8 +204,16 @@ mod tests {
 
     #[test]
     fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let mut r = Report::new("quote \" backslash \\ newline \n control \u{1}");
+        r.push(Finding::info("AN-MODEL-003", "tab\there"));
+        let text = report_json(&r);
+        assert!(text.contains(r#""quote \" backslash \\ newline \n control \u0001""#));
+        assert!(text.contains(r#""tab\there""#));
+        let parsed = simple::json::parse(&text).unwrap();
+        assert_eq!(
+            parsed.get("subject").and_then(Value::as_str),
+            Some(r.subject.as_str())
+        );
     }
 
     #[test]
@@ -311,31 +229,16 @@ mod tests {
 
     #[test]
     fn json_parses_as_balanced_braces() {
-        // Without serde, a structural smoke check: balanced braces and
-        // brackets outside string literals.
-        let text = reports_json(&[sample(), Report::new("clean")]);
-        let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-        for c in text.chars() {
-            if in_str {
-                if esc {
-                    esc = false;
-                } else if c == '\\' {
-                    esc = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
+        // Every rendering is one strict JSON value.
+        let reports = [sample(), Report::new("clean")];
+        let doc = simple::json::parse(&reports_json(&reports)).unwrap();
+        let parsed = doc.get("reports").and_then(Value::as_array).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].get("errors").and_then(Value::as_u64), Some(1));
+        assert!(simple::json::parse(&sarif(&reports)).is_ok());
+        let timed =
+            reports_json_with_timings(&reports, &[("s".to_owned(), vec![("token_ms", 0.5)])]);
+        assert!(simple::json::parse(&timed).is_ok());
     }
 
     #[test]

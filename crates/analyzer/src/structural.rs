@@ -728,15 +728,6 @@ pub fn structural_findings(app: &AppConfig, v: &StructuralVerdict) -> Report {
     report
 }
 
-/// The structural analysis of one application version as a standalone
-/// report, the `analyze --structural` entry point.
-pub fn check_structural(app: &AppConfig) -> Report {
-    let verdict = analyze_structural(app);
-    let mut report = structural_findings(app, &verdict);
-    report.subject = format!("{} structural protocol net", app.version);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,7 +773,8 @@ mod tests {
         assert_eq!(v.peak_concurrency, 15, "768 / 50-pixel bundles");
         assert_eq!(v.intended_concurrency, 45);
         assert_eq!(v.min_capacity, 2_250, "the window scheme's peak demand");
-        let report = check_structural(&AppConfig::version(Version::V3));
+        let app = AppConfig::version(Version::V3);
+        let report = structural_findings(&app, &v);
         assert!(report.contains("AN-STRUCT-004"));
         assert!(report.has_errors());
         assert!(report
@@ -811,7 +803,8 @@ mod tests {
     #[test]
     fn healthy_versions_report_only_info_findings() {
         for version in [Version::V1, Version::V2, Version::V4] {
-            let report = check_structural(&AppConfig::version(version));
+            let app = AppConfig::version(version);
+            let report = structural_findings(&app, &analyze_structural(&app));
             assert!(!report.has_errors(), "{version:?}");
             assert_eq!(report.warnings(), 0, "{version:?}");
             assert!(report.contains("AN-STRUCT-001"));

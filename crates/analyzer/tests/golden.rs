@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use analyzer::{analyze_version, check_races, check_structural, report_json, sarif, ModelBudget};
+use analyzer::{analyze_version, check_races, report_json, sarif, ModelBudget};
 use raysim::config::{AppConfig, Version};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -44,25 +44,6 @@ fn stock_version_reports_match_their_goldens() {
         check(&format!("v{}.json", i + 1), &report_json(&report));
         check(
             &format!("v{}.sarif", i + 1),
-            &sarif(std::slice::from_ref(&report)),
-        );
-    }
-}
-
-#[test]
-fn structural_reports_match_their_goldens() {
-    // The `analyze --structural` section: P-invariants, siphons and the
-    // synthesized minimal capacity are pure linear algebra over the
-    // protocol net — no state budget, no exploration order, fully
-    // deterministic.
-    for (i, version) in Version::ALL.iter().enumerate() {
-        let report = check_structural(&AppConfig::version(*version));
-        check(
-            &format!("v{}_structural.json", i + 1),
-            &report_json(&report),
-        );
-        check(
-            &format!("v{}_structural.sarif", i + 1),
             &sarif(std::slice::from_ref(&report)),
         );
     }

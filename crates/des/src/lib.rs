@@ -5,8 +5,7 @@
 //! ([`SimTime`], [`SimDuration`]), a deterministic event queue that breaks
 //! timestamp ties by insertion order ([`queue::EventQueue`]), a small
 //! event-loop driver ([`engine::EventLoop`]), seeded random-number streams
-//! ([`rng::DetRng`]) and time-weighted statistics accumulators
-//! ([`stats`]).
+//! ([`rng::DetRng`]) and statistics accumulators ([`stats`]).
 //!
 //! Determinism is a hard requirement of the reproduction: the monitor is
 //! itself being validated against ground truth recorded by the simulator,

@@ -101,11 +101,6 @@ impl DetRng {
         let u2: f64 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Access the underlying [`rand`] generator for APIs that need one.
-    pub fn as_rng(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 /// Stable 64-bit mix of a seed and a label (FNV-1a over the label, folded

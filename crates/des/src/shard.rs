@@ -267,11 +267,6 @@ impl<E: Send> ShardedEventLoop<E> {
         self.lookahead
     }
 
-    /// Local clock of shard `shard`.
-    pub fn shard_now(&self, shard: usize) -> SimTime {
-        self.shards[shard].now
-    }
-
     /// Total pending events across all shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.queue.len()).sum()

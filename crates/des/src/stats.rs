@@ -1,13 +1,10 @@
 //! Statistics accumulators used across the workspace.
 //!
-//! [`Accumulator`] tracks scalar samples (count/mean/min/max); [`Histogram`]
-//! buckets durations; [`TimeWeighted`] integrates a piecewise-constant value
-//! over simulated time, which is exactly what resource-utilization metrics
-//! (CPU busy fraction, bus occupancy, FIFO fill level) need.
+//! [`Accumulator`] tracks scalar samples (count/mean/std-dev/min/max).
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Online accumulator for scalar samples.
 ///
@@ -127,171 +124,6 @@ impl fmt::Display for Accumulator {
     }
 }
 
-/// A fixed-bucket histogram over duration samples.
-///
-/// Bucket boundaries are supplied at construction; samples at or above the
-/// last boundary land in an overflow bucket.
-///
-/// # Examples
-///
-/// ```
-/// use des::stats::Histogram;
-/// use des::time::SimDuration;
-///
-/// let mut h = Histogram::new(&[
-///     SimDuration::from_micros(10),
-///     SimDuration::from_micros(100),
-/// ]);
-/// h.record(SimDuration::from_micros(5));
-/// h.record(SimDuration::from_micros(50));
-/// h.record(SimDuration::from_millis(2));
-/// assert_eq!(h.counts(), &[1, 1, 1]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<SimDuration>,
-    counts: Vec<u64>,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[SimDuration]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-        }
-    }
-
-    /// Creates a histogram with `n` exponentially growing buckets starting
-    /// at `first` (each bound doubles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `first` is zero.
-    pub fn exponential(first: SimDuration, n: usize) -> Self {
-        assert!(n > 0, "need at least one bucket");
-        assert!(!first.is_zero(), "first bound must be nonzero");
-        let bounds: Vec<SimDuration> = (0..n)
-            .map(|i| SimDuration::from_nanos(first.as_nanos() << i))
-            .collect();
-        Histogram::new(&bounds)
-    }
-
-    /// Records one duration sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let idx = self.bounds.partition_point(|&b| b <= d);
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[SimDuration] {
-        &self.bounds
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-/// Integrates a piecewise-constant value over simulated time.
-///
-/// Typical use: set the value to 1.0 while a CPU is busy and 0.0 while
-/// idle; [`TimeWeighted::mean`] then yields the utilization over the
-/// observed window.
-///
-/// # Examples
-///
-/// ```
-/// use des::stats::TimeWeighted;
-/// use des::time::SimTime;
-///
-/// let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// u.set(SimTime::from_micros(2), 1.0); // busy from 2us
-/// u.set(SimTime::from_micros(6), 0.0); // idle from 6us
-/// assert_eq!(u.mean(SimTime::from_micros(8)), 0.5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    start: SimTime,
-    last_change: SimTime,
-    current: f64,
-    integral: f64, // value * seconds
-}
-
-impl TimeWeighted {
-    /// Starts integrating at `start` with initial `value`.
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            start,
-            last_change: start,
-            current: value,
-            integral: 0.0,
-        }
-    }
-
-    /// Changes the value at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous change (debug builds only).
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(
-            now >= self.last_change,
-            "time-weighted value set in the past"
-        );
-        self.integral += self.current * now.saturating_since(self.last_change).as_secs_f64();
-        self.last_change = now;
-        self.current = value;
-    }
-
-    /// Adds `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.current + delta;
-        self.set(now, v);
-    }
-
-    /// Returns the current value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Returns the time-weighted mean over `[start, end]`.
-    ///
-    /// A zero-length window (`end <= start`) has integrated nothing and
-    /// reports 0.0 — the division by
-    /// `end.saturating_since(self.start)` is guarded so an empty or
-    /// instantaneous window can never surface as `0.0 / 0.0 = NaN` in
-    /// derived statistics (run-record utilization fields in particular).
-    pub fn mean(&self, end: SimTime) -> f64 {
-        let window = end.saturating_since(self.start).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        let tail = self.current * end.saturating_since(self.last_change).as_secs_f64();
-        (self.integral + tail) / window
-    }
-
-    /// Returns the accumulated integral (value × seconds) up to `end`.
-    pub fn integral(&self, end: SimTime) -> f64 {
-        self.integral + self.current * end.saturating_since(self.last_change).as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,69 +168,5 @@ mod tests {
         assert_eq!(a.mean(), 0.0);
         assert_eq!(a.variance(), 0.0);
         assert_eq!(a.min(), None);
-    }
-
-    #[test]
-    fn histogram_bucket_edges() {
-        let mut h = Histogram::new(&[SimDuration::from_nanos(10), SimDuration::from_nanos(20)]);
-        h.record(SimDuration::from_nanos(9)); // below first bound
-        h.record(SimDuration::from_nanos(10)); // exactly on bound -> next bucket
-        h.record(SimDuration::from_nanos(19));
-        h.record(SimDuration::from_nanos(20)); // overflow
-        assert_eq!(h.counts(), &[1, 2, 1]);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn exponential_histogram_doubles() {
-        let h = Histogram::exponential(SimDuration::from_nanos(100), 4);
-        let b: Vec<u64> = h.bounds().iter().map(|d| d.as_nanos()).collect();
-        assert_eq!(b, vec![100, 200, 400, 800]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_unsorted_bounds() {
-        Histogram::new(&[SimDuration::from_nanos(20), SimDuration::from_nanos(10)]);
-    }
-
-    #[test]
-    fn time_weighted_utilization() {
-        let mut u = TimeWeighted::new(SimTime::from_secs(1), 1.0);
-        u.set(SimTime::from_secs(2), 0.0);
-        u.set(SimTime::from_secs(3), 1.0);
-        // Busy for 1s (1..2) + 1s (3..4) of a 3s window.
-        assert!((u.mean(SimTime::from_secs(4)) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_add_tracks_level() {
-        let mut q = TimeWeighted::new(SimTime::ZERO, 0.0);
-        q.add(SimTime::from_secs(1), 2.0);
-        q.add(SimTime::from_secs(2), -1.0);
-        assert_eq!(q.current(), 1.0);
-        // Integral: 0*1 + 2*1 + 1*1 = 3 value-seconds over 3 seconds.
-        assert!((q.mean(SimTime::from_secs(3)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_window() {
-        let u = TimeWeighted::new(SimTime::from_secs(5), 1.0);
-        assert_eq!(u.mean(SimTime::from_secs(5)), 0.0);
-    }
-
-    /// Empty and instantaneous windows must yield finite statistics —
-    /// 0.0, never `0/0 = NaN` — including after value changes landed
-    /// exactly on the window boundary, and for a window queried in the
-    /// (saturating) past.
-    #[test]
-    fn time_weighted_instantaneous_window_is_finite() {
-        let mut u = TimeWeighted::new(SimTime::from_secs(5), 1.0);
-        u.set(SimTime::from_secs(5), 3.0); // change at the boundary itself
-        let m = u.mean(SimTime::from_secs(5));
-        assert!(m.is_finite());
-        assert_eq!(m, 0.0);
-        assert_eq!(u.mean(SimTime::from_secs(1)), 0.0); // end before start
-        assert_eq!(u.integral(SimTime::from_secs(5)), 0.0);
     }
 }

@@ -30,23 +30,21 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use des::digest::Fnv64;
 use pipeline::Job;
 use raysim::config::{AppConfig, Version};
+use simple::json::{self, Value};
 use simple::Trace;
 use suprenum::RunEnd;
 
-pub mod json;
 pub mod sweeps;
 pub mod verify;
 
 pub use sweeps::Scale;
-pub use verify::{verify_sweep, verify_sweep_opts, verify_sweep_with, VerifyOptions, VerifyReport};
+pub use verify::{verify_sweep, VerifyOptions, VerifyReport};
 
 /// Version of the JSON artifact schema this harness writes (sweep
 /// artifacts and bench baselines alike). Bumped whenever a field
@@ -59,47 +57,18 @@ pub use verify::{verify_sweep, verify_sweep_opts, verify_sweep_with, VerifyOptio
 /// newer binaries stay comparable against committed baselines.
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// Extracts the `schema_version` field from an artifact's JSON text.
+/// Reads the `schema_version` field of a parsed artifact.
 ///
 /// # Errors
 ///
-/// Returns a message when the field is absent or malformed — such a
-/// file is not a harness artifact at all.
-pub fn artifact_schema_version(json_text: &str) -> Result<u64, String> {
-    let key = "\"schema_version\":";
-    let at = json_text
-        .find(key)
-        .ok_or_else(|| "artifact has no schema_version field".to_owned())?;
-    let rest = json_text[at + key.len()..].trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits
-        .parse()
-        .map_err(|_| "artifact schema_version is not a number".to_owned())
-}
-
-/// Refuses a comparison between this harness and an artifact written at
-/// a different schema version.
-///
-/// Fields change meaning across schemas (schema 4 made `wall_ms`
-/// engine-only, for instance), so comparing across versions silently
-/// produces nonsense; a hard error with a regeneration hint is better.
-///
-/// # Errors
-///
-/// Returns a clear, actionable message when `json_text` was written at
-/// a schema other than [`SCHEMA_VERSION`] (or is not an artifact).
-pub fn check_artifact_schema(json_text: &str, what: &str) -> Result<(), String> {
-    let found = artifact_schema_version(json_text).map_err(|e| format!("{what}: {e}"))?;
-    if found == SCHEMA_VERSION {
-        Ok(())
-    } else {
-        Err(format!(
-            "{what} was written at schema_version {found}, but this harness writes \
-             schema_version {SCHEMA_VERSION} — comparing across schemas is meaningless \
-             (fields were added or changed meaning); regenerate the artifact with the \
-             current binary"
-        ))
-    }
+/// Returns a message when the field is absent or not an unsigned
+/// integer — such a value is not a harness artifact at all.
+pub fn artifact_schema_version(artifact: &Value) -> Result<u64, String> {
+    artifact
+        .get("schema_version")
+        .ok_or_else(|| "artifact has no schema_version field".to_owned())?
+        .as_u64()
+        .ok_or_else(|| "artifact schema_version is not a number".to_owned())
 }
 
 /// One configured run inside a sweep.
@@ -264,85 +233,80 @@ pub struct ArtifactRun {
     pub scheduler: String,
 }
 
-/// Reads the per-run rows back out of an artifact's JSON text.
+/// Reads the per-run rows back out of an artifact's JSON text: the
+/// root's `runs` in a sweep artifact, every `sweeps[i].runs` in a bench
+/// baseline.
 ///
-/// The artifact writer emits exactly one field per line and every run
-/// object opens with its `label` field, so a line-oriented scan
-/// suffices — no general JSON parser is vendored for this. Fields the
-/// reader does not use (such as the retired `shards`) are skipped.
+/// `label`, `trace_digest`, `events_per_sec` and `wall_ms` are required.
+/// Absent additive schema-4 fields read as their documented defaults
+/// (`analysis_*` as 0, `scheduler` as `"rr"`), and fields the reader
+/// does not use (such as the retired `shards`) are ignored.
 ///
 /// # Errors
 ///
-/// Returns a message naming the problem when the text holds no run in
-/// that layout (e.g. a minified artifact), a run lacks its
-/// `trace_digest`, `events_per_sec` or `wall_ms`, or a numeric field
-/// does not parse.
+/// Returns a message naming the problem when the text is not JSON (with
+/// its line and column), holds no run, or a run lacks a required field
+/// or carries one of the wrong type.
 pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = line.trim_start().strip_prefix(&format!("\"{key}\": "))?;
-        Some(rest.trim_end_matches(','))
-    }
-    fn str_value(raw: &str) -> String {
-        raw.trim_matches('"').to_owned()
-    }
-    fn number<T: std::str::FromStr>(raw: &str, key: &str, label: &str) -> Result<T, String> {
-        raw.parse()
-            .map_err(|_| format!("run '{label}' has a malformed {key} ({raw})"))
-    }
-    fn missing(label: &str, key: &str) -> String {
-        format!("run '{label}' has no {key}")
-    }
+    artifact_runs(&json::parse(json_text).map_err(|e| e.to_string())?)
+}
 
-    // Rows under construction: the run plus the fields that must appear.
-    let mut rows: Vec<(ArtifactRun, Option<f64>, Option<f64>)> = Vec::new();
-    for line in json_text.lines() {
-        if let Some(raw) = field(line, "label") {
-            let run = ArtifactRun {
-                label: str_value(raw),
-                trace_digest: String::new(),
-                events_per_sec: 0.0,
-                wall_ms: 0.0,
-                analysis_counts: (0, 0, 0),
-                scheduler: "rr".to_owned(),
-            };
-            rows.push((run, None, None));
-        } else if let Some((run, events_per_sec, wall_ms)) = rows.last_mut() {
-            let label = run.label.as_str();
-            if let Some(raw) = field(line, "trace_digest") {
-                run.trace_digest = str_value(raw);
-            } else if let Some(raw) = field(line, "events_per_sec") {
-                *events_per_sec = Some(number(raw, "events_per_sec", label)?);
-            } else if let Some(raw) = field(line, "wall_ms") {
-                *wall_ms = Some(number(raw, "wall_ms", label)?);
-            } else if let Some(raw) = field(line, "analysis_errors") {
-                run.analysis_counts.0 = number(raw, "analysis_errors", label)?;
-            } else if let Some(raw) = field(line, "analysis_warnings") {
-                run.analysis_counts.1 = number(raw, "analysis_warnings", label)?;
-            } else if let Some(raw) = field(line, "analysis_infos") {
-                run.analysis_counts.2 = number(raw, "analysis_infos", label)?;
-            } else if let Some(raw) = field(line, "scheduler") {
-                run.scheduler = str_value(raw);
-            }
+fn artifact_runs(artifact: &Value) -> Result<Vec<ArtifactRun>, String> {
+    let sweeps = match artifact.get("sweeps") {
+        Some(sweeps) => sweeps
+            .as_array()
+            .ok_or("artifact's sweeps is not an array")?,
+        None => std::slice::from_ref(artifact),
+    };
+    let mut runs = Vec::new();
+    for sweep in sweeps {
+        let list = sweep.get("runs").ok_or("artifact has no runs")?;
+        for run in list.as_array().ok_or("artifact's runs is not an array")? {
+            runs.push(artifact_run(run)?);
         }
     }
-    if rows.is_empty() {
-        return Err(
-            "artifact has no runs (expected one \"label\" line per run, as the harness \
-             writes them; minified artifacts are not readable)"
-                .to_owned(),
-        );
+    if runs.is_empty() {
+        return Err("artifact has no runs".to_owned());
     }
-    rows.into_iter()
-        .map(|(mut run, events_per_sec, wall_ms)| {
-            if run.trace_digest.is_empty() {
-                return Err(missing(&run.label, "trace_digest"));
-            }
-            run.events_per_sec =
-                events_per_sec.ok_or_else(|| missing(&run.label, "events_per_sec"))?;
-            run.wall_ms = wall_ms.ok_or_else(|| missing(&run.label, "wall_ms"))?;
-            Ok(run)
-        })
-        .collect()
+    Ok(runs)
+}
+
+fn artifact_run(run: &Value) -> Result<ArtifactRun, String> {
+    let label = run
+        .get("label")
+        .ok_or("a run has no label")?
+        .as_str()
+        .ok_or("a run's label is not a string")?;
+    let malformed = |key: &str, v: &Value| format!("run '{label}' has a malformed {key} ({v})");
+    let text = |key: &str, v: &Value| {
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| malformed(key, v))
+    };
+    let field = |key: &str| {
+        run.get(key)
+            .ok_or_else(|| format!("run '{label}' has no {key}"))
+    };
+    let float = |key: &str| field(key).and_then(|v| v.as_f64().ok_or_else(|| malformed(key, v)));
+    // Additive schema-4 fields: absence reads as the documented default.
+    let count = |key: &str| {
+        run.get(key)
+            .map_or(Ok(0), |v| v.as_u64().ok_or_else(|| malformed(key, v)))
+    };
+    Ok(ArtifactRun {
+        label: label.to_owned(),
+        trace_digest: field("trace_digest").and_then(|v| text("trace_digest", v))?,
+        events_per_sec: float("events_per_sec")?,
+        wall_ms: float("wall_ms")?,
+        analysis_counts: (
+            count("analysis_errors")?,
+            count("analysis_warnings")?,
+            count("analysis_infos")?,
+        ),
+        scheduler: run
+            .get("scheduler")
+            .map_or(Ok("rr".to_owned()), |v| text("scheduler", v))?,
+    })
 }
 
 /// Compares two artifacts run by run: digests must match (same
@@ -358,17 +322,26 @@ pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> 
 /// (see [`parse_artifact_runs`]), run present in only one artifact, or
 /// digest divergence.
 pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<String>> {
+    let read = |text: &str, what: &str| {
+        let artifact = json::parse(text).map_err(|e| format!("{what}: {e}"))?;
+        let found = artifact_schema_version(&artifact).map_err(|e| format!("{what}: {e}"))?;
+        if found != SCHEMA_VERSION {
+            // Fields changed meaning across schemas (schema 4 made
+            // `wall_ms` engine-only, for instance): refuse, don't guess.
+            return Err(format!(
+                "{what} was written at schema_version {found}, but this harness writes \
+                 schema_version {SCHEMA_VERSION} — comparing across schemas is meaningless \
+                 (fields were added or changed meaning); regenerate the artifact with the \
+                 current binary"
+            ));
+        }
+        artifact_runs(&artifact).map_err(|e| format!("{what}: {e}"))
+    };
+    let (base_runs, cand_runs) = match (read(baseline, "baseline"), read(candidate, "candidate")) {
+        (Ok(b), Ok(c)) => (b, c),
+        (b, c) => return Err([b.err(), c.err()].into_iter().flatten().collect()),
+    };
     let mut errors = Vec::new();
-    let mut read = |text: &str, what: &str| {
-        let runs = check_artifact_schema(text, what)
-            .and_then(|()| parse_artifact_runs(text).map_err(|e| format!("{what}: {e}")));
-        runs.map_err(|e| errors.push(e)).ok()
-    };
-    let (Some(base_runs), Some(cand_runs)) =
-        (read(baseline, "baseline"), read(candidate, "candidate"))
-    else {
-        return Err(errors);
-    };
     let mut rows = String::new();
     use std::fmt::Write as _;
     let _ = writeln!(
@@ -637,43 +610,39 @@ impl SweepReport {
         (wall > 0.0).then(|| self.total_events() as f64 / (wall / 1e3))
     }
 
-    /// Renders this report as a JSON object at the given indentation
-    /// depth (the building block for both the sweep artifact and the
-    /// bench baseline).
-    fn json_at(&self, indent: usize) -> String {
-        let runs: Vec<String> = self
+    /// This report as a JSON value: the sweep artifact, and one entry
+    /// of a bench baseline's `sweeps`.
+    fn to_value(&self) -> Value {
+        let runs = self
             .records
             .iter()
             .map(|r| {
-                let mut o = json::JsonObject::new();
-                o.str("label", &r.label)
-                    .str("workload", &r.workload)
-                    .str("fingerprint", &r.fingerprint)
-                    .u64("seed", r.seed)
-                    .str("run_end", &r.run_end.to_string())
-                    .bool("truncated", r.truncated)
-                    .u64("sim_end_ns", r.sim_end_ns)
-                    .f64("wall_ms", r.wall_ms)
-                    .f64("analysis_ms", r.analysis_ms)
-                    .u64("analysis_errors", r.analysis_errors)
-                    .u64("analysis_warnings", r.analysis_warnings)
-                    .u64("analysis_infos", r.analysis_infos)
-                    .u64("events_processed", r.events_processed)
-                    .f64("events_per_sec", r.events_per_sec)
-                    .u64("engine_shards", r.engine_shards as u64)
-                    .str("scheduler", &r.scheduler)
-                    .u64("trace_events", r.trace_events as u64)
-                    .str("trace_digest", &r.trace_digest)
-                    .u64("work_units", r.work_units)
-                    .opt_f64("utilization_percent", r.utilization_percent)
-                    .opt_f64("steady_percent", r.steady_percent)
-                    .opt_f64("paper_percent", r.paper_percent)
-                    .f64("intrusion_ratio", r.intrusion_ratio);
-                match r.version {
-                    Some(v) => o.u64("version", v as u64 + 1),
-                    None => o.raw("version", "null"),
-                };
-                o.render(indent + 2)
+                Value::object([
+                    ("label", r.label.as_str().into()),
+                    ("workload", r.workload.as_str().into()),
+                    ("fingerprint", r.fingerprint.as_str().into()),
+                    ("seed", r.seed.into()),
+                    ("run_end", r.run_end.to_string().into()),
+                    ("truncated", r.truncated.into()),
+                    ("sim_end_ns", r.sim_end_ns.into()),
+                    ("wall_ms", r.wall_ms.into()),
+                    ("analysis_ms", r.analysis_ms.into()),
+                    ("analysis_errors", r.analysis_errors.into()),
+                    ("analysis_warnings", r.analysis_warnings.into()),
+                    ("analysis_infos", r.analysis_infos.into()),
+                    ("events_processed", r.events_processed.into()),
+                    ("events_per_sec", r.events_per_sec.into()),
+                    ("engine_shards", r.engine_shards.into()),
+                    ("scheduler", r.scheduler.as_str().into()),
+                    ("trace_events", r.trace_events.into()),
+                    ("trace_digest", r.trace_digest.as_str().into()),
+                    ("work_units", r.work_units.into()),
+                    ("utilization_percent", r.utilization_percent.into()),
+                    ("steady_percent", r.steady_percent.into()),
+                    ("paper_percent", r.paper_percent.into()),
+                    ("intrusion_ratio", r.intrusion_ratio.into()),
+                    ("version", r.version.map(|v| v as u64 + 1).into()),
+                ])
             })
             .collect();
 
@@ -687,23 +656,24 @@ impl SweepReport {
         // and is ignored on read. Schema 3: run objects gained
         // "workload" and renamed "jobs_sent" to the workload-agnostic
         // "work_units".
-        let mut root = json::JsonObject::new();
-        root.u64("schema_version", SCHEMA_VERSION)
-            .str("sweep", &self.sweep)
-            .u64("workers", self.workers as u64)
-            .bool("all_completed", self.truncated_runs().is_empty())
-            .u64("total_events", self.total_events())
-            .f64("total_wall_ms", self.total_wall_ms())
-            .opt_f64("aggregate_events_per_sec", self.aggregate_events_per_sec())
-            .raw("runs", json::array(&runs, indent + 1));
-        root.render(indent)
+        Value::object([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("sweep", self.sweep.as_str().into()),
+            ("workers", self.workers.into()),
+            ("all_completed", self.truncated_runs().is_empty().into()),
+            ("total_events", self.total_events().into()),
+            ("total_wall_ms", self.total_wall_ms().into()),
+            (
+                "aggregate_events_per_sec",
+                self.aggregate_events_per_sec().into(),
+            ),
+            ("runs", runs),
+        ])
     }
 
     /// Renders the whole report as a JSON artifact.
     pub fn to_json(&self) -> String {
-        let mut out = self.json_at(0);
-        out.push('\n');
-        out
+        format!("{}\n", self.to_value())
     }
 
     /// Renders the summary table shown after a sweep.
@@ -808,22 +778,6 @@ impl SweepReport {
             Err(errors)
         }
     }
-
-    /// Writes the JSON artifact to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_artifact(&self, path: &Path) -> std::io::Result<PathBuf> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())?;
-        Ok(path.to_path_buf())
-    }
 }
 
 /// A benchmark baseline: several sweeps measured together, written as
@@ -871,31 +825,16 @@ impl BenchReport {
     /// Renders the baseline as a JSON artifact: per-sweep reports (same
     /// schema as sweep artifacts) plus the date.
     pub fn to_json(&self) -> String {
-        let sweeps: Vec<String> = self.reports.iter().map(|r| r.json_at(1)).collect();
-        let mut root = json::JsonObject::new();
-        root.u64("schema_version", SCHEMA_VERSION)
-            .str("kind", "bench")
-            .str("date", &self.date)
-            .raw("sweeps", json::array(&sweeps, 1));
-        let mut out = root.render(0);
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON artifact to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_artifact(&self, path: &Path) -> std::io::Result<PathBuf> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())?;
-        Ok(path.to_path_buf())
+        let root = Value::object([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("kind", "bench".into()),
+            ("date", self.date.as_str().into()),
+            (
+                "sweeps",
+                self.reports.iter().map(SweepReport::to_value).collect(),
+            ),
+        ]);
+        format!("{root}\n")
     }
 }
 
@@ -1105,15 +1044,11 @@ mod tests {
         // 2×, run 'b' not at all.
         let artifact = |a_evs: f64, a_wall: f64, b_evs: f64, b_wall: f64| {
             format!(
-                "{{\n\"schema_version\": {SCHEMA_VERSION},\n\
-                 \"label\": \"a\",\n\
-                 \"trace_digest\": \"aaaaaaaaaaaaaaaa\",\n\
-                 \"events_per_sec\": {a_evs},\n\
-                 \"wall_ms\": {a_wall},\n\
-                 \"label\": \"b\",\n\
-                 \"trace_digest\": \"bbbbbbbbbbbbbbbb\",\n\
-                 \"events_per_sec\": {b_evs},\n\
-                 \"wall_ms\": {b_wall}\n}}\n"
+                "{{\"schema_version\": {SCHEMA_VERSION}, \"runs\": [\n\
+                 {{\"label\": \"a\", \"trace_digest\": \"aaaaaaaaaaaaaaaa\",\n\
+                  \"events_per_sec\": {a_evs}, \"wall_ms\": {a_wall}}},\n\
+                 {{\"label\": \"b\", \"trace_digest\": \"bbbbbbbbbbbbbbbb\",\n\
+                  \"events_per_sec\": {b_evs}, \"wall_ms\": {b_wall}}}\n]}}\n"
             )
         };
         let baseline = artifact(1000.0, 2000.0, 4000.0, 500.0);
@@ -1132,36 +1067,75 @@ mod tests {
         assert!(aggregate.contains("geometric mean"), "{aggregate}");
     }
 
-    /// A schema-4 artifact with one run per `(label, digest)` pair, in
-    /// the writer's one-field-per-line layout.
+    /// A schema-4 sweep artifact with one run per `(label, digest)`
+    /// pair, in the writer's layout. Each run's last field is
+    /// `events_per_sec`, so deleting any other field's line keeps the
+    /// text well-formed.
     fn fixture(runs: &[(&str, &str)]) -> String {
-        let mut text = format!("{{\n\"schema_version\": {SCHEMA_VERSION},\n");
-        for (label, digest) in runs {
-            text.push_str(&format!(
-                "\"label\": \"{label}\",\n\"wall_ms\": 2.5,\n\
-                 \"events_per_sec\": 1000,\n\"trace_digest\": \"{digest}\",\n"
-            ));
-        }
-        text + "}\n"
+        let runs = runs
+            .iter()
+            .map(|&(label, digest)| {
+                Value::object([
+                    ("label", label.into()),
+                    ("trace_digest", digest.into()),
+                    ("wall_ms", 2.5.into()),
+                    ("events_per_sec", 1000u64.into()),
+                ])
+            })
+            .collect();
+        let root = Value::object([("schema_version", SCHEMA_VERSION.into()), ("runs", runs)]);
+        format!("{root}\n")
     }
 
     #[test]
-    fn compare_refuses_minified_artifacts() {
-        // One line per artifact: the line reader finds no run, which
-        // must not read as an empty, passing comparison.
-        let minify = |text: String| text.replace('\n', " ");
+    fn compare_reads_minified_artifacts() {
+        // Whitespace is not structure: a minified pair reads like the
+        // writer's layout, so it reaches the digest check (and fails it
+        // here) instead of passing as an empty comparison.
+        let minify = |text: String| text.split_whitespace().collect::<String>();
         let a = minify(fixture(&[("a", "aaaaaaaaaaaaaaaa")]));
         let b = minify(fixture(&[("a", "bbbbbbbbbbbbbbbb")]));
+        assert!(!a.contains('\n'), "{a}");
+        assert!(compare_artifacts(&a, &a).unwrap().contains("1.00x"));
         let errs = compare_artifacts(&a, &b).unwrap_err();
-        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(
-            errs[0].starts_with("baseline: artifact has no runs"),
+            errs[0].starts_with("run 'a' digest bbbbbbbbbbbbbbbb != baseline aaaaaaaaaaaaaaaa"),
             "{errs:?}"
         );
-        assert!(
-            errs[1].starts_with("candidate: artifact has no runs"),
-            "{errs:?}"
+    }
+
+    #[test]
+    fn compare_refuses_text_that_is_not_json() {
+        // The fields of a run, but no enclosing object: the first string
+        // parses, and everything after it is trailing data.
+        let loose = "\"schema_version\": 4,\n\"label\": \"a\",\n\
+                     \"trace_digest\": \"aaaaaaaaaaaaaaaa\",\n\"events_per_sec\": 1000,\n\
+                     \"wall_ms\": 2.5\n";
+        let good = fixture(&[("a", "aaaaaaaaaaaaaaaa")]);
+        let errs = compare_artifacts(loose, &good).unwrap_err();
+        assert_eq!(
+            errs,
+            vec![
+                "baseline: not JSON: line 1, column 17: trailing data after the JSON value"
+                    .to_owned()
+            ]
         );
+        assert!(parse_artifact_runs(loose).is_err());
+    }
+
+    #[test]
+    fn nested_objects_do_not_shadow_run_fields() {
+        let good = fixture(&[("a", "aaaaaaaaaaaaaaaa")]);
+        let nested = good.replace(
+            "\"wall_ms\": 2.5,",
+            "\"wall_ms\": 2.5,\n\"stages_ms\": {\"wall_ms\": 999, \"trace_digest\": \"x\"},",
+        );
+        assert_ne!(nested, good);
+        let runs = parse_artifact_runs(&nested).unwrap();
+        assert_eq!(runs[0].wall_ms, 2.5);
+        assert_eq!(runs[0].trace_digest, "aaaaaaaaaaaaaaaa");
+        assert!(compare_artifacts(&good, &nested).is_ok());
     }
 
     #[test]
@@ -1173,10 +1147,10 @@ mod tests {
             errs,
             vec!["candidate: run 'a' has a malformed events_per_sec (\"fast\")".to_owned()]
         );
+        // No longer JSON at all: the parse error, with its place.
         let bad = good.replace("\"wall_ms\": 2.5", "\"wall_ms\": 2.5.1");
-        assert!(parse_artifact_runs(&bad)
-            .unwrap_err()
-            .contains("malformed wall_ms"));
+        let err = parse_artifact_runs(&bad).unwrap_err();
+        assert!(err.starts_with("not JSON: line 7, column 21:"), "{err}");
         let bad = good.replace(
             "\"wall_ms\": 2.5,",
             "\"wall_ms\": 2.5,\n\"analysis_errors\": -1,",
@@ -1231,7 +1205,8 @@ mod tests {
             1,
         );
         let current = report.to_json();
-        assert_eq!(artifact_schema_version(&current).unwrap(), SCHEMA_VERSION);
+        let parsed = json::parse(&current).unwrap();
+        assert_eq!(artifact_schema_version(&parsed).unwrap(), SCHEMA_VERSION);
         let stale = current.replace(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             "\"schema_version\": 3",
@@ -1239,8 +1214,37 @@ mod tests {
         let errs = compare_artifacts(&stale, &current).unwrap_err();
         assert!(errs[0].contains("schema_version 3"), "{errs:?}");
         assert!(errs[0].contains("regenerate"), "{errs:?}");
-        let errs = check_artifact_schema("{}", "thing").unwrap_err();
-        assert!(errs.contains("no schema_version"), "{errs}");
+        let err = artifact_schema_version(&Value::Object(Vec::new())).unwrap_err();
+        assert!(err.contains("no schema_version"), "{err}");
+        // The committed schema-2 baseline stays refused.
+        let schema2 = include_str!("../../../artifacts/BENCH_2026-08-07.json");
+        let errs = compare_artifacts(schema2, &current).unwrap_err();
+        assert!(errs[0].contains("schema_version 2"), "{errs:?}");
+    }
+
+    #[test]
+    fn every_prefix_of_a_committed_artifact_is_refused() {
+        // A truncated artifact is refused, never half-read.
+        let committed = include_str!("../../../artifacts/BENCH_2026-08-07.json");
+        let cut = committed.trim_end();
+        for end in (0..cut.len()).filter(|&i| cut.is_char_boundary(i)) {
+            assert!(
+                parse_artifact_runs(&committed[..end]).is_err(),
+                "prefix {end}"
+            );
+        }
+        assert!(parse_artifact_runs(committed).is_ok());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn random_bytes_are_refused_without_panicking(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512)
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            proptest::prop_assert!(parse_artifact_runs(&text).is_err());
+            proptest::prop_assert!(compare_artifacts(&text, &text).is_err());
+        }
     }
 
     #[test]

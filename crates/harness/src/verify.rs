@@ -14,7 +14,7 @@
 //! is recorded and skipped, but verification continues so the final
 //! output lists every denial — not just the first.
 //!
-//! With races enabled ([`verify_sweep_with`], `harness verify
+//! With races enabled ([`VerifyOptions::races`], `harness verify
 //! --races`), each executed run additionally gets a race cross-check:
 //! the DPOR explorer runs over the run's communication shape, every
 //! `AN-RACE-*` witness interleaving is replayed against the model and
@@ -130,30 +130,11 @@ impl VerifyReport {
 
 /// Executes every job of `sweep` (serially — verification sweeps are
 /// small) and validates each trace against the orderings its workload
-/// declares. The pre-flight *mode* defaults to warn-but-run so the
-/// analysis findings are always printed; `ANALYZER_POLICY` overrides
-/// it; the analysis *hook* stays whatever the spec configured.
-pub fn verify_sweep(sweep: &Sweep) -> VerifyReport {
-    verify_sweep_with(sweep, false)
-}
-
-/// [`verify_sweep`] with the race cross-check toggle: when `races` is
-/// set, every executed run's communication shape is explored by the
-/// DPOR race detector and its witnesses reconciled with the run's
-/// recorded trace.
-pub fn verify_sweep_with(sweep: &Sweep, races: bool) -> VerifyReport {
-    verify_sweep_opts(
-        sweep,
-        &VerifyOptions {
-            races,
-            scheduler: None,
-        },
-    )
-}
-
-/// [`verify_sweep`] with the full option set — race cross-checks and a
-/// scheduling-policy override (see [`VerifyOptions`]).
-pub fn verify_sweep_opts(sweep: &Sweep, opts: &VerifyOptions) -> VerifyReport {
+/// declares, plus the race and scheduler cross-checks `opts` selects.
+/// The pre-flight *mode* defaults to warn-but-run so the analysis
+/// findings are always printed; `ANALYZER_POLICY` overrides it; the
+/// analysis *hook* stays whatever the spec configured.
+pub fn verify_sweep(sweep: &Sweep, opts: &VerifyOptions) -> VerifyReport {
     let mut out = VerifyReport {
         run_reports: Vec::new(),
         race_reports: Vec::new(),
@@ -502,6 +483,11 @@ mod tests {
     use pipeline::{Job, PipelineConfig};
     use raysim::config::{AppConfig, SceneKind, Version};
 
+    const RACES: VerifyOptions = VerifyOptions {
+        races: true,
+        scheduler: None,
+    };
+
     fn ray_spec(label: &str, version: Version, servants: u16) -> crate::RunSpec {
         let mut app = AppConfig::version(version);
         app.servants = servants;
@@ -537,7 +523,7 @@ mod tests {
         // Safe against the sibling tests: the smoke and jacobi configs
         // analyze without errors, so a leaked `deny` cannot refuse them.
         std::env::set_var("ANALYZER_POLICY", "deny");
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         std::env::remove_var("ANALYZER_POLICY");
         assert_eq!(report.denied, vec!["bad-a".to_owned(), "bad-b".to_owned()]);
         assert_eq!(report.run_reports.len(), 1);
@@ -548,7 +534,7 @@ mod tests {
     #[test]
     fn smoke_sweep_traces_respect_every_proven_order() {
         let sweep = sweeps::by_name("smoke", crate::Scale::Quick, 1992).unwrap();
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         assert_eq!(report.denied, Vec::<String>::new());
         assert_eq!(report.violations(), 0, "{:#?}", report.run_reports);
         assert_eq!(report.exit_code(), 0);
@@ -575,7 +561,7 @@ mod tests {
         let sweep = sweeps::by_name("smoke", crate::Scale::Quick, 1992).unwrap();
         let ray_runs = sweep.runs.iter().filter(|s| s.app.is_some()).count();
         assert!(ray_runs > 0, "smoke sweep lost its ray runs");
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         assert_eq!(report.structural_reports.len(), ray_runs);
         assert_eq!(
             report.certificate_violations(),
@@ -608,7 +594,7 @@ mod tests {
             name: "scaled".into(),
             runs: vec![spec],
         };
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         assert_eq!(report.certificate_violations(), 0);
         let r = &report.structural_reports[0];
         assert!(
@@ -623,7 +609,7 @@ mod tests {
     #[test]
     fn race_crosscheck_confirms_every_witness_on_the_smoke_sweep() {
         let sweep = sweeps::by_name("smoke", crate::Scale::Quick, 1992).unwrap();
-        let report = verify_sweep_with(&sweep, true);
+        let report = verify_sweep(&sweep, &RACES);
         assert_eq!(report.race_reports.len(), report.run_reports.len());
         assert_eq!(
             report.race_inconsistencies(),
@@ -658,7 +644,7 @@ mod tests {
     #[test]
     fn race_crosscheck_suppresses_the_benign_spmd_interleaving() {
         let sweep = sweeps::by_name("jacobi", crate::Scale::Quick, 1992).unwrap();
-        let report = verify_sweep_with(&sweep, true);
+        let report = verify_sweep(&sweep, &RACES);
         assert_eq!(report.race_reports.len(), report.run_reports.len());
         assert_eq!(
             report.race_inconsistencies(),
@@ -686,7 +672,7 @@ mod tests {
         // deterministic preemptive policies must record at least one —
         // both directions verified on the same sweep, exit code 0.
         let sweep = sweeps::by_name("sched", crate::Scale::Quick, 1992).unwrap();
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         assert_eq!(report.denied, Vec::<String>::new());
         assert_eq!(report.violations(), 0, "{:#?}", report.run_reports);
         assert_eq!(
@@ -754,7 +740,7 @@ mod tests {
                 quantum: des::time::SimDuration::from_millis(5),
             }),
         };
-        let report = verify_sweep_opts(&sweep, &opts);
+        let report = verify_sweep(&sweep, &opts);
         assert_eq!(report.exit_code(), 0, "{:#?}", report.sched_reports);
         assert!(
             report.sched_reports[0]
@@ -772,7 +758,7 @@ mod tests {
         // worker's exchange-before-compute ordering must hold in every
         // recorded trace, channel by channel.
         let sweep = sweeps::by_name("jacobi", crate::Scale::Quick, 1992).unwrap();
-        let report = verify_sweep(&sweep);
+        let report = verify_sweep(&sweep, &VerifyOptions::default());
         assert_eq!(report.denied, Vec::<String>::new());
         assert_eq!(report.violations(), 0, "{:#?}", report.run_reports);
         assert_eq!(report.exit_code(), 0);

@@ -134,3 +134,26 @@ proptest! {
         }
     }
 }
+
+/// Numeric flags whose value overflows the simulated clock are usage
+/// errors (exit 64) before anything runs — never a silently wrapped
+/// horizon or quantum that truncates every run.
+#[test]
+fn overflowing_cli_values_are_usage_errors() {
+    for flags in [
+        ["--horizon-secs", "18446744073709552"],
+        ["--scheduler", "preempt:18446744073709552"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(["sweep", "smoke"])
+            .args(flags)
+            .output()
+            .expect("the harness binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains("overflows the simulated clock"),
+            "{flags:?}: {stderr}"
+        );
+    }
+}

@@ -59,9 +59,6 @@ impl fmt::Display for EventToken {
 pub struct EventParam(u32);
 
 impl EventParam {
-    /// A zero parameter for events that carry no extra data.
-    pub const NONE: EventParam = EventParam(0);
-
     /// Creates a parameter from its raw 32-bit value.
     pub const fn new(value: u32) -> Self {
         EventParam(value)

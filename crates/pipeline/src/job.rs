@@ -16,9 +16,7 @@ use suprenum::RunOutcome;
 use suprenum::SchedulerKind;
 
 use crate::preflight::{PolicyMode, PreflightDenied, PreflightSummary};
-use crate::{
-    try_run_workload, FaultConfig, OrderEdge, PipelineConfig, PipelineError, RunMetrics, Workload,
-};
+use crate::{try_run_workload, OrderEdge, PipelineConfig, PipelineError, RunMetrics, Workload};
 
 /// Per-execution overrides a harness may apply without re-building the
 /// job (the CLI's `--horizon-secs` flag, `harness verify`'s
@@ -41,9 +39,6 @@ pub struct ExecOverrides {
     /// behaviour; the effective policy is recorded in
     /// [`JobRun::scheduler`] so artifacts stay honest.
     pub scheduler: Option<SchedulerKind>,
-    /// Replaces the configured probe-plane fault injection (the sweep
-    /// harness's fuzz dimensions).
-    pub faults: Option<FaultConfig>,
 }
 
 /// Everything a harness records about one executed job, with the
@@ -86,10 +81,7 @@ pub struct Job {
     workload_id: &'static str,
     seed: u64,
     fingerprint: u64,
-    horizon: Option<SimTime>,
-    engine_shards: Option<usize>,
-    scheduler: Option<SchedulerKind>,
-    faults: Option<FaultConfig>,
+    overrides: ExecOverrides,
     exec: Arc<Exec>,
 }
 
@@ -99,7 +91,7 @@ impl std::fmt::Debug for Job {
             .field("workload_id", &self.workload_id)
             .field("seed", &self.seed)
             .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("horizon", &self.horizon)
+            .field("overrides", &self.overrides)
             .finish_non_exhaustive()
     }
 }
@@ -123,9 +115,6 @@ impl Job {
             }
             if let Some(scheduler) = ov.scheduler {
                 cfg.machine.scheduler = scheduler;
-            }
-            if let Some(faults) = ov.faults {
-                cfg.faults = faults;
             }
             let engine_shards = cfg.engine_shards;
             let scheduler = cfg.machine.scheduler.clone();
@@ -155,10 +144,7 @@ impl Job {
             workload_id,
             seed,
             fingerprint,
-            horizon: None,
-            engine_shards: None,
-            scheduler: None,
-            faults: None,
+            overrides: ExecOverrides::default(),
             exec,
         }
     }
@@ -182,7 +168,7 @@ impl Job {
     /// Caps this job's simulated-time budget for every subsequent
     /// execution (the CLI's `--horizon-secs`).
     pub fn override_horizon(&mut self, horizon: SimTime) {
-        self.horizon = Some(horizon);
+        self.overrides.horizon = Some(horizon);
     }
 
     /// Sets the engine worker-thread count for every subsequent
@@ -190,7 +176,7 @@ impl Job {
     /// invisible: a multi-cluster machine always runs one logical
     /// shard per cluster, and this only packs them onto threads.
     pub fn override_engine_shards(&mut self, engine_shards: usize) {
-        self.engine_shards = Some(engine_shards);
+        self.overrides.engine_shards = Some(engine_shards);
     }
 
     /// Replaces the kernel scheduling policy for every subsequent
@@ -199,14 +185,7 @@ impl Job {
     /// in [`JobRun::scheduler`] and in schema-4 artifacts, and
     /// `harness compare` refuses to diff across policies.
     pub fn override_scheduler(&mut self, scheduler: SchedulerKind) {
-        self.scheduler = Some(scheduler);
-    }
-
-    /// Replaces the probe-plane fault injection for every subsequent
-    /// execution (the sweep harness's fuzz dimensions). Faults perturb
-    /// only the measurement, never the simulated machine.
-    pub fn override_faults(&mut self, faults: FaultConfig) {
-        self.faults = Some(faults);
+        self.overrides.scheduler = Some(scheduler);
     }
 
     /// Executes the job with an optional pre-flight mode override.
@@ -218,10 +197,7 @@ impl Job {
     pub fn run_with_policy(&self, policy: Option<PolicyMode>) -> Result<JobRun, PreflightDenied> {
         (self.exec)(ExecOverrides {
             policy,
-            horizon: self.horizon,
-            engine_shards: self.engine_shards,
-            scheduler: self.scheduler.clone(),
-            faults: self.faults,
+            ..self.overrides.clone()
         })
     }
 
@@ -303,31 +279,6 @@ mod tests {
         // Same workload, same outcome class; the policy only reorders
         // node-local CPU multiplexing.
         assert_eq!(reference.outcome.end, run.outcome.end);
-    }
-
-    #[test]
-    fn faults_override_perturbs_only_the_measurement() {
-        let cfg = PipelineConfig::new(JacobiConfig {
-            workers: 3,
-            iterations: 4,
-            cells_per_worker: 8,
-            ..JacobiConfig::default()
-        });
-        let job = Job::new(cfg);
-        let clean = job.run();
-        let mut faulty = job.clone();
-        faulty.override_faults(FaultConfig {
-            probe_drop_permille: 200,
-            probe_corrupt_permille: 0,
-            clock_drift_ppm: 0,
-            seed: 11,
-        });
-        let run = faulty.run();
-        assert_eq!(
-            clean.outcome, run.outcome,
-            "faults must not touch the machine"
-        );
-        assert!(run.trace.len() < clean.trace.len(), "drops thin the trace");
     }
 
     #[test]

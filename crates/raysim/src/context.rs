@@ -138,17 +138,6 @@ impl<T> Shared<T> {
     pub fn borrow_mut(&self) -> MutexGuard<'_, T> {
         self.borrow()
     }
-
-    /// Extracts the value, cloning only if other owners remain.
-    pub fn unwrap_or_clone(self) -> T
-    where
-        T: Clone,
-    {
-        match Arc::try_unwrap(self.0) {
-            Ok(m) => m.into_inner().unwrap_or_else(|e| e.into_inner()),
-            Err(arc) => arc.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-        }
-    }
 }
 
 /// One communication-agent pool: the shared variables between an owner

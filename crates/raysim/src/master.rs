@@ -412,11 +412,6 @@ impl Process for Master {
 
 /// Extra accessors used by tests and analysis.
 impl Master {
-    /// Pixels written so far.
-    pub fn pixels_written(&self) -> u32 {
-        self.ledger.written()
-    }
-
     /// The master-side agent pool (for inspection).
     pub fn pool(&self) -> &Shared<AgentPool> {
         &self.pool

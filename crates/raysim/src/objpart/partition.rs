@@ -5,7 +5,6 @@
 //! very long and need a lot of memory"). Materials and lights are small
 //! and stay replicated; the *objects* are dealt round-robin.
 
-use raytracer::geometry::Hit;
 use raytracer::intersect::{Accel, SceneIndex, VectorMode};
 use raytracer::math::Ray;
 use raytracer::scene::Scene;
@@ -100,9 +99,6 @@ pub struct PartitionAnswer {
     /// Occlusion verdict for shadow tasks.
     pub blocked: bool,
 }
-
-/// Hit is re-exported for answer construction in tests.
-pub type PartitionHit = Hit;
 
 #[cfg(test)]
 mod tests {

@@ -280,11 +280,6 @@ impl WavefrontEngine {
     pub fn pixels(&self) -> &[Color] {
         &self.pixels
     }
-
-    /// Consumes the engine, returning the pixel colours.
-    pub fn into_pixels(self) -> Vec<Color> {
-        self.pixels
-    }
 }
 
 /// The small shading detail that makes colour equivalence exact: the

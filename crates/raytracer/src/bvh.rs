@@ -122,11 +122,6 @@ impl Bvh {
         self.nodes.len() - 1
     }
 
-    /// Number of tree nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Returns `true` if the hierarchy contains no objects.
     pub fn is_empty(&self) -> bool {
         self.root.is_none()

@@ -35,25 +35,65 @@ impl Camera {
     /// # Panics
     ///
     /// Panics if `fov_deg` is not in `(0, 180)` or `aspect` is not
-    /// positive, or if `up` is parallel to the view direction.
+    /// positive, or with the reason [`try_look_at`](Self::try_look_at)
+    /// refuses the view.
     pub fn look_at(eye: Vec3, target: Vec3, up: Vec3, fov_deg: f64, aspect: f64) -> Self {
+        Camera::try_look_at(eye, target, up, fov_deg, aspect).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a camera at `eye` looking at `target`.
+    ///
+    /// # Errors
+    ///
+    /// Names why the view has no finite basis: `eye` at `target`, `up`
+    /// zero or parallel to the view direction, or coordinates so large
+    /// that `target − eye` or the image plane overflows `f64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fov_deg` is not in `(0, 180)` or `aspect` is not
+    /// positive.
+    pub fn try_look_at(
+        eye: Vec3,
+        target: Vec3,
+        up: Vec3,
+        fov_deg: f64,
+        aspect: f64,
+    ) -> Result<Self, &'static str> {
+        const NOT_FINITE: &str = "camera view vector or basis is not finite";
         assert!(
             fov_deg > 0.0 && fov_deg < 180.0,
             "field of view must be in (0, 180)"
         );
         assert!(aspect > 0.0, "aspect ratio must be positive");
+        let unit = |v: Vec3, degenerate: &'static str| match v.length() {
+            len if !len.is_finite() => Err(NOT_FINITE),
+            0.0 => Err(degenerate),
+            len => Ok(v / len),
+        };
         let theta = fov_deg.to_radians();
         let half_h = (theta / 2.0).tan();
         let half_w = aspect * half_h;
-        let w = (eye - target).normalized(); // backwards
-        let u = up.cross(w).normalized();
+        let w = unit(eye - target, "eye and target must differ")?; // backwards
+        let u = unit(
+            up.cross(w),
+            "up must be nonzero and not parallel to the view direction",
+        )?;
         let v = w.cross(u);
-        Camera {
+        let camera = Camera {
             eye,
             lower_left: eye - u * half_w - v * half_h - w,
             horizontal: u * (2.0 * half_w),
             vertical: v * (2.0 * half_h),
-        }
+        };
+        camera.is_finite().then_some(camera).ok_or(NOT_FINITE)
+    }
+
+    /// `true` when the eye and the image-plane basis are all finite.
+    pub fn is_finite(&self) -> bool {
+        [self.eye, self.lower_left, self.horizontal, self.vertical]
+            .iter()
+            .all(|v| v.x.is_finite() && v.y.is_finite() && v.z.is_finite())
     }
 
     /// The eye position.

@@ -133,8 +133,9 @@ impl<'a> LineParser<'a> {
 ///
 /// Returns a [`ParseSceneError`] naming the offending line for any
 /// syntax problem, non-finite number, unknown directive, undefined
-/// material reference, degenerate camera (eye at the target, or `up`
-/// zero or parallel to the view direction), or missing camera.
+/// material reference, degenerate camera (eye at the target, `up` zero
+/// or parallel to the view direction, or a view or image plane that
+/// overflows `f64`), or missing camera.
 ///
 /// # Examples
 ///
@@ -205,16 +206,10 @@ pub fn parse(text: &str) -> Result<SceneDescription, ParseSceneError> {
                 if aspect <= 0.0 {
                     return Err(ParseSceneError::new(line_no, "aspect must be positive"));
                 }
-                if (eye - target).length() < 1e-9 {
-                    return Err(ParseSceneError::new(line_no, "eye and target must differ"));
-                }
-                if up.cross(eye - target).length() < 1e-9 {
-                    return Err(ParseSceneError::new(
-                        line_no,
-                        "up must be nonzero and not parallel to the view direction",
-                    ));
-                }
-                camera = Some(Camera::look_at(eye, target, up, fov, aspect));
+                camera = Some(
+                    Camera::try_look_at(eye, target, up, fov, aspect)
+                        .map_err(|e| ParseSceneError::new(line_no, e))?,
+                );
             }
             "light" => {
                 p.keyword("pos")?;
@@ -627,6 +622,52 @@ mod tests {
         assert!(err
             .to_string()
             .contains("line 1: up must be nonzero and not parallel"));
+        // Finite literals whose view vector `target − eye` or image
+        // plane overflows.
+        for text in [
+            "camera eye 1e308 1e308 1e308 target -1e308 0 0 up 0 1 0 fov 60 aspect 1",
+            "camera eye 1e308 0 0 target 0 0 0 up 0 1 0 fov 60 aspect 1e308",
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("line 1: camera view vector or basis is not finite"),
+                "{text}: {err}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// A camera line over extreme numbers, then lines of grammar words:
+        /// never a panic, and every accepted scene has a finite camera.
+        #[test]
+        fn grammar_shaped_lines_accept_only_finite_cameras(
+            numbers in proptest::collection::vec(0usize..8, 11),
+            words in proptest::collection::vec(0usize..32, 0..40),
+        ) {
+            const NUMBERS: [&str; 8] = ["0", "1", "-1", "60", "1e308", "-1e308", "1e-300", "1e154"];
+            const WORDS: [&str; 32] = [
+                "\n", "camera", "eye", "target", "up", "fov", "aspect", "background", "ambient",
+                "light", "pos", "color", "material", "m", "diffuse", "specular", "shininess",
+                "reflect", "transparency", "ior", "checker", "sphere", "center", "radius",
+                "plane", "point", "normal", "triangle", "a", "NaN", "#", "0",
+            ];
+            let n: Vec<&str> = numbers.iter().map(|&i| NUMBERS[i]).collect();
+            let camera = format!(
+                "camera eye {} {} {} target {} {} {} up {} {} {} fov {} aspect {}\n",
+                n[0], n[1], n[2], n[3], n[4], n[5], n[6], n[7], n[8], n[9], n[10]
+            );
+            let mut text = camera.clone();
+            for &w in &words {
+                text.push_str(WORDS[w]);
+                text.push_str(if w % 3 == 0 { " 1e308 " } else { " " });
+            }
+            for text in [camera, text] {
+                if let Ok(desc) = parse(&text) {
+                    proptest::prop_assert!(desc.camera.is_finite(), "{text}");
+                }
+            }
+        }
     }
 
     #[test]

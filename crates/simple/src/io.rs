@@ -170,5 +170,25 @@ mod tests {
             );
             prop_assert_eq!(from_csv(&to_csv(&t)).unwrap(), t);
         }
+
+        #[test]
+        fn garbage_rows_are_refused_with_their_line(
+            rows in proptest::collection::vec(proptest::collection::vec(0usize..12, 0..7), 1..6),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            const FIELDS: [&str; 12] = [
+                "0", "1200", "0x0101", "0xFFFF", "0x10000", "18446744073709551616", "-1",
+                "4294967296", "", " ", "x", "#",
+            ];
+            let text: String = rows
+                .iter()
+                .map(|row| row.iter().map(|&i| FIELDS[i]).collect::<Vec<_>>().join(",") + "\n")
+                .collect();
+            for text in [text, String::from_utf8_lossy(&bytes).into_owned()] {
+                if let Err(e) = from_csv(&text) {
+                    prop_assert!((1..=text.lines().count()).contains(&e.line()), "{e}");
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,9 @@
 //!   Figure 10's utilization ladder;
 //! * trace validation ([`validate`]): timestamp monotonicity and
 //!   send/receive causality checks, used to demonstrate the value of the
-//!   ZM4's globally valid timestamps.
+//!   ZM4's globally valid timestamps;
+//! * trace interchange as CSV ([`io`]) and every other artifact as JSON
+//!   ([`json`]): one value tree, one writer, one strict reader.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@
 pub mod activity;
 pub mod gantt;
 pub mod io;
+pub mod json;
 pub mod report;
 pub mod stats;
 pub mod timeline;

@@ -1890,12 +1890,4 @@ impl Machine {
     pub fn interconnect_stats(&self) -> InterconnectStats {
         self.parts[0].interconnect.stats()
     }
-
-    /// The label a process registered with.
-    pub fn process_label(&self, pid: ProcessId) -> Option<&str> {
-        self.parts
-            .iter()
-            .find_map(|p| p.ground_truth.history(pid))
-            .map(|h| h.label.as_str())
-    }
 }

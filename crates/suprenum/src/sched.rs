@@ -188,20 +188,45 @@ impl SchedulerKind {
     /// # Errors
     ///
     /// Returns a human-readable message for unknown policies, malformed
-    /// or zero quantums, malformed seeds, or nested fuzz wrappers.
+    /// or zero quantums, quantums that overflow the simulated clock, or
+    /// nested fuzz wrappers.
     pub fn parse(spec: &str) -> Result<SchedulerKind, String> {
+        let (base, seed) = match spec.strip_prefix("fuzz") {
+            Some("") => (SchedulerKind::RoundRobin, 0),
+            Some(rest) if rest.starts_with(':') => match rest[1..].rsplit_once(':') {
+                Some((base, seed)) if seed.parse::<u64>().is_ok() => (
+                    SchedulerKind::parse_base(base)?,
+                    seed.parse::<u64>().expect("checked above"),
+                ),
+                _ => (SchedulerKind::parse_base(&rest[1..])?, 0),
+            },
+            _ => return SchedulerKind::parse_base(spec),
+        };
+        Ok(SchedulerKind::Fuzz {
+            base: Box::new(base),
+            seed,
+        })
+    }
+
+    /// Parses a spec that is not a fuzz wrapper — the whole spec, or
+    /// the base inside `fuzz:` (without recursing, so no spec length can
+    /// exhaust the stack).
+    fn parse_base(spec: &str) -> Result<SchedulerKind, String> {
         let (head, rest) = match spec.split_once(':') {
             Some((h, r)) => (h, Some(r)),
             None => (spec, None),
         };
         let quantum_of = |rest: Option<&str>| -> Result<SimDuration, String> {
-            match rest {
-                None => Ok(DEFAULT_QUANTUM),
-                Some(us) => match us.parse::<u64>() {
-                    Ok(0) => Err(format!("zero quantum '{us}' (want at least 1 microsecond)")),
-                    Ok(n) => Ok(SimDuration::from_micros(n)),
-                    Err(_) => Err(format!("bad quantum '{us}' (want microseconds)")),
-                },
+            let Some(us) = rest else {
+                return Ok(DEFAULT_QUANTUM);
+            };
+            match us.parse::<u64>() {
+                Ok(0) => Err(format!("zero quantum '{us}' (want at least 1 microsecond)")),
+                Ok(n) => n
+                    .checked_mul(1_000)
+                    .map(SimDuration::from_nanos)
+                    .ok_or_else(|| format!("quantum '{us}' overflows the simulated clock")),
+                Err(_) => Err(format!("bad quantum '{us}' (want microseconds)")),
             }
         };
         match head {
@@ -215,25 +240,7 @@ impl SchedulerKind {
             "cfs" => Ok(SchedulerKind::Cfs {
                 quantum: quantum_of(rest)?,
             }),
-            "fuzz" => {
-                let (base, seed) = match rest {
-                    None => (SchedulerKind::RoundRobin, 0),
-                    Some(r) => match r.rsplit_once(':') {
-                        Some((base, seed)) if seed.parse::<u64>().is_ok() => (
-                            SchedulerKind::parse(base)?,
-                            seed.parse::<u64>().expect("checked above"),
-                        ),
-                        _ => (SchedulerKind::parse(r)?, 0),
-                    },
-                };
-                if matches!(base, SchedulerKind::Fuzz { .. }) {
-                    return Err("fuzz wrappers do not nest".to_owned());
-                }
-                Ok(SchedulerKind::Fuzz {
-                    base: Box::new(base),
-                    seed,
-                })
-            }
+            "fuzz" => Err("fuzz wrappers do not nest".to_owned()),
             other => Err(format!(
                 "unknown scheduler '{other}' (want rr, preempt[:us], cfs[:us], or fuzz[:base[:seed]])"
             )),
@@ -244,14 +251,6 @@ impl SchedulerKind {
     /// running user LWP — everything except the stock round-robin.
     pub fn is_preemptive(&self) -> bool {
         !matches!(self, SchedulerKind::RoundRobin)
-    }
-
-    /// The fuzz seed, when this is a fuzz wrapper.
-    pub fn fuzz_seed(&self) -> Option<u64> {
-        match self {
-            SchedulerKind::Fuzz { seed, .. } => Some(*seed),
-            _ => None,
-        }
     }
 
     /// Validates the selection (no nested fuzz wrappers, non-zero
@@ -703,6 +702,45 @@ mod tests {
         for spec in ["preempt:0", "cfs:0", "fuzz:preempt:0:7", "fuzz:cfs:0:3"] {
             let err = SchedulerKind::parse(spec).expect_err(spec);
             assert!(err.contains("zero quantum"), "{spec}: {err}");
+        }
+        // A quantum whose nanoseconds do not fit the clock is refused,
+        // not wrapped into a 384 ns slice.
+        for spec in [
+            "preempt:18446744073709552",
+            "cfs:18446744073709552",
+            "fuzz:preempt:18446744073709552:7",
+        ] {
+            let err = SchedulerKind::parse(spec).expect_err(spec);
+            assert!(
+                err.contains("overflows the simulated clock"),
+                "{spec}: {err}"
+            );
+        }
+        assert!(SchedulerKind::parse("preempt:18446744073709551").is_ok());
+        // Nesting is refused without recursing once per segment.
+        let deep = format!("{}rr", "fuzz:".repeat(26_000));
+        let err = SchedulerKind::parse(&deep).unwrap_err();
+        assert!(err.contains("do not nest"), "{err}");
+        assert!(SchedulerKind::parse("fuzzy").is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics_and_accepts_only_valid_kinds(
+            pieces in proptest::collection::vec(0usize..14, 0..10),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+        ) {
+            const WORDS: [&str; 14] = [
+                "rr", "preempt", "cfs", "fuzz", "priority", ":", ":", "0", "1", "7",
+                "5000", "18446744073709552", "18446744073709551615", "-1",
+            ];
+            let spec: String = pieces.iter().map(|&i| WORDS[i]).collect();
+            for spec in [spec, String::from_utf8_lossy(&bytes).into_owned()] {
+                if let Ok(kind) = SchedulerKind::parse(&spec) {
+                    proptest::prop_assert!(kind.validate().is_ok(), "{spec}");
+                    proptest::prop_assert_eq!(SchedulerKind::parse(&kind.name()), Ok(kind));
+                }
+            }
         }
     }
 

@@ -111,12 +111,6 @@ impl Topology {
         NodeId::new(cluster.index() as u16 * self.nodes_per_cluster as u16)
     }
 
-    /// Iterates over the nodes of one cluster in id order.
-    pub fn cluster_nodes(&self, cluster: ClusterId) -> impl Iterator<Item = NodeId> {
-        let first = self.first_node(cluster).index();
-        (first..first + self.nodes_per_cluster as u16).map(NodeId::new)
-    }
-
     /// Torus coordinates (row, col) of a cluster.
     pub fn torus_coords(&self, cluster: ClusterId) -> (u8, u8) {
         assert!(
