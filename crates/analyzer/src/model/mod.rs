@@ -33,7 +33,7 @@ use raysim::config::AppConfig;
 use crate::diag::{Diagnostic, Location, Report};
 use crate::structural::DeadlockVerdict;
 use exact::ExactModel;
-use flow::FlowModel;
+use flow::{FlowModel, FlowVerdict};
 use sched::{SchedModel, SchedVerdict};
 
 /// State budgets for the three explorations.
@@ -195,155 +195,35 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         app.write_chunk,
         app.eager_writeback,
     );
-    let fv = flow.explore(budget.flow_states);
-    if fv.bounded {
-        let mut partial = vec!["completion reachability".to_owned()];
-        let mut closed = Vec::new();
-        if structurally_deadlock_free {
-            closed.push("deadlock freedom (AN-STRUCT-002)".to_owned());
-        } else {
-            partial.insert(0, "deadlock freedom".to_owned());
+    match flow.counters_fit() {
+        Ok(()) => {
+            let fv = flow.explore(budget.flow_states);
+            if fv.bounded {
+                bounded_layers.push(flow_left_open(
+                    format!(
+                        "flow model stopped at {} states (budget {})",
+                        fv.states, budget.flow_states
+                    ),
+                    structurally_deadlock_free,
+                    has_certificates,
+                ));
+            }
+            flow_findings(
+                &mut report,
+                app,
+                &flow,
+                &fv,
+                structurally_deadlock_free,
+                has_certificates,
+            );
         }
-        if has_certificates {
-            closed.push("credit conservation and the queue bound (AN-STRUCT-001)".to_owned());
-            closed.push("peak concurrency / window collapse (AN-STRUCT-004)".to_owned());
-        } else {
-            partial.push("credit conservation".to_owned());
-            partial.push("peak concurrency".to_owned());
-        }
-        bounded_layers.push(BoundedLayer {
-            summary: format!(
-                "flow model stopped at {} states (budget {})",
-                fv.states, budget.flow_states
-            ),
-            partial,
-            closed,
-        });
-    }
-
-    if let Some(path) = &fv.deadlock {
-        report.push(
-            Diagnostic::error(
-                "AN-MODEL-001",
-                "a reachable protocol state deadlocks: the master can neither send, \
-                 receive, nor write",
-            )
-            .note(format!(
-                "found by exhaustive exploration of {} reachable states (bundle-granular \
-                 flow model)",
-                fv.states
-            ))
-            .with_path("counterexample (one transition per line)", path.clone()),
-        );
-    } else if !fv.bounded {
-        report.push(
-            Diagnostic::info(
-                "AN-MODEL-001",
-                format!(
-                    "deadlock-free: exhaustive exploration of {} reachable protocol states \
-                     found no state where the master is stuck",
-                    fv.states
-                ),
-            )
-            .locate(Location::Model { path: Vec::new() }),
-        );
-    } else if structurally_deadlock_free {
-        report.push(
-            Diagnostic::info(
-                "AN-MODEL-001",
-                format!(
-                    "deadlock-free: proven structurally for any shape size (siphon/trap \
-                     analysis, AN-STRUCT-002); the bounded exploration of {} states found \
-                     no counterexample either",
-                    fv.states
-                ),
-            )
-            .locate(Location::Model { path: Vec::new() }),
-        );
-    }
-
-    // Window collapse: provable structurally (the queue bound caps
-    // concurrency below the window total); the exploration supplies the
-    // witness path to the observed peak.
-    let intended = u64::from(app.servants) * u64::from(app.window);
-    if u64::from(flow.capacity_b) < intended {
-        report.push(
-            Diagnostic::error(
-                "AN-MODEL-002",
-                format!(
-                    "window collapse: flow control intends {intended} concurrent jobs but \
-                     no reachable state holds more than {} — the pixel queue bound caps \
-                     concurrency",
-                    fv.max_outstanding
-                ),
-            )
-            .at_config("app.pixel_queue_capacity", app.pixel_queue_capacity)
-            .note(format!(
-                "peak of {} outstanding jobs over {} explored states{}",
-                fv.max_outstanding,
-                fv.states,
-                if fv.bounded { " (bounded)" } else { "" }
-            ))
-            .with_path(
-                "witness path to the concurrency ceiling",
-                fv.peak_witness.clone(),
-            ),
-        );
-    } else if !fv.bounded {
-        report.push(Diagnostic::info(
-            "AN-MODEL-002",
-            format!(
-                "full window concurrency is reachable: {} of {intended} intended jobs \
-                 outstanding in some state, over {} explored states",
-                fv.max_outstanding, fv.states
-            ),
-        ));
-    } else if has_certificates {
-        report.push(Diagnostic::info(
-            "AN-MODEL-002",
-            format!(
-                "full window concurrency is reachable: proven structurally — the queue \
-                 invariant bounds concurrency at min(credits, capacity) = {intended} and \
-                 the monotone send sequence attains it (AN-STRUCT-004); the bounded \
-                 exploration reached {} of {intended}",
-                fv.max_outstanding
-            ),
-        ));
-    }
-
-    // Credit conservation, checked mechanically in every state.
-    if !fv.credits_conserved || !fv.capacity_respected {
-        report.push(
-            Diagnostic::error(
-                "AN-MODEL-003",
-                if fv.credits_conserved {
-                    "the pixel-queue bound is overrun in a reachable state"
-                } else {
-                    "credit conservation violated: a reachable state holds more \
-                     outstanding jobs than window credits"
-                },
-            )
-            .note(format!("over {} explored states", fv.states)),
-        );
-    } else if !fv.bounded {
-        report.push(Diagnostic::info(
-            "AN-MODEL-003",
-            format!(
-                "credit conservation proven: outstanding jobs never exceed {} credits and \
-                 in-flight pixels never exceed the queue bound, in all {} reachable states",
-                flow.credits, fv.states
-            ),
-        ));
-    } else if has_certificates {
-        report.push(Diagnostic::info(
-            "AN-MODEL-003",
-            format!(
-                "credit conservation proven: the P-invariant certificate (AN-STRUCT-001) \
-                 bounds outstanding jobs at {} credits in every reachable state, for any \
-                 budget; the bounded exploration of {} states agreed",
-                flow.credits, fv.states
-            ),
-        ));
+        // Too wide for the state counters: the structural layer's
+        // proofs stand alone.
+        Err(wide) => bounded_layers.push(flow_left_open(
+            format!("flow model not explored: {wide}"),
+            structurally_deadlock_free,
+            has_certificates,
+        )),
     }
 
     // --- Exact model, for configurations small enough to close.
@@ -486,6 +366,172 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
     (report, timings)
 }
 
+/// The bounded-layer note for a flow exploration that stopped at its
+/// budget or never ran: completion reachability stays partial, and each
+/// other claim is closed structurally where that layer proved it.
+fn flow_left_open(
+    summary: String,
+    structurally_deadlock_free: bool,
+    has_certificates: bool,
+) -> BoundedLayer {
+    let mut partial = vec!["completion reachability".to_owned()];
+    let mut closed = Vec::new();
+    if structurally_deadlock_free {
+        closed.push("deadlock freedom (AN-STRUCT-002)".to_owned());
+    } else {
+        partial.insert(0, "deadlock freedom".to_owned());
+    }
+    if has_certificates {
+        closed.push("credit conservation and the queue bound (AN-STRUCT-001)".to_owned());
+        closed.push("peak concurrency / window collapse (AN-STRUCT-004)".to_owned());
+    } else {
+        partial.push("credit conservation".to_owned());
+        partial.push("peak concurrency".to_owned());
+    }
+    BoundedLayer {
+        summary,
+        partial,
+        closed,
+    }
+}
+
+/// The flow model's findings (`AN-MODEL-001`…`003`) from its verdict.
+/// Where the exploration was bounded, a claim the structural layer
+/// proved cites that proof.
+fn flow_findings(
+    report: &mut Report,
+    app: &AppConfig,
+    flow: &FlowModel,
+    fv: &FlowVerdict,
+    structurally_deadlock_free: bool,
+    has_certificates: bool,
+) {
+    if let Some(path) = &fv.deadlock {
+        report.push(
+            Diagnostic::error(
+                "AN-MODEL-001",
+                "a reachable protocol state deadlocks: the master can neither send, \
+                 receive, nor write",
+            )
+            .note(format!(
+                "found by exhaustive exploration of {} reachable states (bundle-granular \
+                 flow model)",
+                fv.states
+            ))
+            .with_path("counterexample (one transition per line)", path.clone()),
+        );
+    } else if !fv.bounded {
+        report.push(
+            Diagnostic::info(
+                "AN-MODEL-001",
+                format!(
+                    "deadlock-free: exhaustive exploration of {} reachable protocol states \
+                     found no state where the master is stuck",
+                    fv.states
+                ),
+            )
+            .locate(Location::Model { path: Vec::new() }),
+        );
+    } else if structurally_deadlock_free {
+        report.push(
+            Diagnostic::info(
+                "AN-MODEL-001",
+                format!(
+                    "deadlock-free: proven structurally for any shape size (siphon/trap \
+                     analysis, AN-STRUCT-002); the bounded exploration of {} states found \
+                     no counterexample either",
+                    fv.states
+                ),
+            )
+            .locate(Location::Model { path: Vec::new() }),
+        );
+    }
+
+    // Window collapse: provable structurally (the queue bound caps
+    // concurrency below the window total); the exploration supplies the
+    // witness path to the observed peak.
+    let intended = u64::from(app.servants) * u64::from(app.window);
+    if u64::from(flow.capacity_b) < intended {
+        report.push(
+            Diagnostic::error(
+                "AN-MODEL-002",
+                format!(
+                    "window collapse: flow control intends {intended} concurrent jobs but \
+                     no reachable state holds more than {} — the pixel queue bound caps \
+                     concurrency",
+                    fv.max_outstanding
+                ),
+            )
+            .at_config("app.pixel_queue_capacity", app.pixel_queue_capacity)
+            .note(format!(
+                "peak of {} outstanding jobs over {} explored states{}",
+                fv.max_outstanding,
+                fv.states,
+                if fv.bounded { " (bounded)" } else { "" }
+            ))
+            .with_path(
+                "witness path to the concurrency ceiling",
+                fv.peak_witness.clone(),
+            ),
+        );
+    } else if !fv.bounded {
+        report.push(Diagnostic::info(
+            "AN-MODEL-002",
+            format!(
+                "full window concurrency is reachable: {} of {intended} intended jobs \
+                 outstanding in some state, over {} explored states",
+                fv.max_outstanding, fv.states
+            ),
+        ));
+    } else if has_certificates {
+        report.push(Diagnostic::info(
+            "AN-MODEL-002",
+            format!(
+                "full window concurrency is reachable: proven structurally — the queue \
+                 invariant bounds concurrency at min(credits, capacity) = {intended} and \
+                 the monotone send sequence attains it (AN-STRUCT-004); the bounded \
+                 exploration reached {} of {intended}",
+                fv.max_outstanding
+            ),
+        ));
+    }
+
+    // Credit conservation, checked mechanically in every state.
+    if !fv.credits_conserved || !fv.capacity_respected {
+        report.push(
+            Diagnostic::error(
+                "AN-MODEL-003",
+                if fv.credits_conserved {
+                    "the pixel-queue bound is overrun in a reachable state"
+                } else {
+                    "credit conservation violated: a reachable state holds more \
+                     outstanding jobs than window credits"
+                },
+            )
+            .note(format!("over {} explored states", fv.states)),
+        );
+    } else if !fv.bounded {
+        report.push(Diagnostic::info(
+            "AN-MODEL-003",
+            format!(
+                "credit conservation proven: outstanding jobs never exceed {} credits and \
+                 in-flight pixels never exceed the queue bound, in all {} reachable states",
+                flow.credits, fv.states
+            ),
+        ));
+    } else if has_certificates {
+        report.push(Diagnostic::info(
+            "AN-MODEL-003",
+            format!(
+                "credit conservation proven: the P-invariant certificate (AN-STRUCT-001) \
+                 bounds outstanding jobs at {} credits in every reachable state, for any \
+                 budget; the bounded exploration of {} states agreed",
+                flow.credits, fv.states
+            ),
+        ));
+    }
+}
+
 /// Model-checks the preemptive-scheduler variant of a configuration,
 /// returning the effective-synchrony verdict (with its counterexample
 /// path) directly.
@@ -618,6 +664,36 @@ mod tests {
             assert_eq!(report.warnings(), 0, "{v}: {}", report.render());
             assert_eq!(report.has_errors(), v == Version::V3, "{v}");
         }
+    }
+
+    #[test]
+    fn a_queue_too_wide_for_the_flow_counters_rests_on_structural_proofs() {
+        let mut app = AppConfig::version(Version::V1);
+        app.pixel_queue_capacity = 70_000;
+        let report = check_app(&app, &ModelBudget::preflight());
+        assert!(!report.has_errors(), "{}", report.render());
+        let bounded = report
+            .findings
+            .iter()
+            .find(|f| f.code == "AN-MODEL-005")
+            .expect("the flow claims are reported as left to other layers");
+        assert!(
+            bounded
+                .notes
+                .iter()
+                .any(|n| n
+                    .starts_with("flow model not explored: the pixel queue holds 70000 bundles")),
+            "{:?}",
+            bounded.notes
+        );
+        assert!(
+            bounded
+                .notes
+                .iter()
+                .any(|n| n.contains("closed structurally: deadlock freedom")),
+            "{:?}",
+            bounded.notes
+        );
     }
 
     #[test]

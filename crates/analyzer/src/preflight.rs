@@ -173,6 +173,29 @@ mod tests {
     }
 
     #[test]
+    fn a_wide_window_preflights_on_a_worker_sized_stack() {
+        // 255 servants × window 100 over a 65 535-pixel queue of one-ray
+        // bundles: the flow model's first send-closure folds 25 500
+        // sends into one edge. The harness runs jobs on 2 MiB threads.
+        let mut app = AppConfig::version(Version::V1);
+        app.servants = 255;
+        app.window = 100;
+        app.pixel_queue_capacity = 65_535;
+        app.validate().expect("the shape is a valid configuration");
+        let cfg = PipelineConfig::new(app);
+        let summary = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || pipeline_hook(&cfg))
+            .expect("spawn")
+            .join()
+            .expect("the pre-flight must not overflow a 2 MiB stack");
+        assert_eq!(summary.errors, 0, "{}", summary.rendered);
+        assert!(summary
+            .rendered
+            .contains("flow model stopped at 100000 states"));
+    }
+
+    #[test]
     fn hook_flattens_counts() {
         let summary = pipeline_hook(&PipelineConfig::new(AppConfig::version(Version::V3)));
         assert!(summary.errors >= 1);

@@ -2,6 +2,10 @@
 
 use crate::math::{Ray, Vec3};
 
+/// Largest coordinate magnitude (eye plus image-plane extent) a view may
+/// reach: 2^46.
+const MAX_REACH: f64 = (1u64 << 46) as f64;
+
 /// A pinhole camera generating eye rays through image-plane pixels —
 /// Figure 4's "eye" and "screen".
 ///
@@ -47,7 +51,9 @@ impl Camera {
     ///
     /// Names why the view has no finite basis: `eye` at `target`, `up`
     /// zero or parallel to the view direction, or coordinates so large
-    /// that `target − eye` or the image plane overflows `f64`.
+    /// that `target − eye` or the image plane overflows `f64` — or so
+    /// far from the origin (beyond 2^46) that rounding swallows the
+    /// image plane and the eye rays would have no direction.
     ///
     /// # Panics
     ///
@@ -86,7 +92,19 @@ impl Camera {
             horizontal: u * (2.0 * half_w),
             vertical: v * (2.0 * half_h),
         };
-        camera.is_finite().then_some(camera).ok_or(NOT_FINITE)
+        if !camera.is_finite() {
+            return Err(NOT_FINITE);
+        }
+        // `ray_for` aims at plane points one unit from the eye, through
+        // the difference `plane point − eye`. Each of its coordinates
+        // carries a few ulps of the largest coordinate in play, which far
+        // from the origin swallows that unit: the direction would come
+        // out zero or as noise. Below 2^46 the error stays under a tenth.
+        let reach = eye.x.abs().max(eye.y.abs()).max(eye.z.abs()) + 1.0 + half_w + half_h;
+        if reach > MAX_REACH {
+            return Err("camera eye is too far from the origin: rounding swallows the image plane");
+        }
+        Ok(camera)
     }
 
     /// `true` when the eye and the image-plane basis are all finite.
@@ -158,6 +176,20 @@ mod tests {
         let a = c.ray_for(50, 50, 100, 100, (0.25, 0.25));
         let b = c.ray_for(50, 50, 100, 100, (0.75, 0.75));
         assert_ne!(a.dir, b.dir);
+    }
+
+    #[test]
+    fn far_eyes_are_refused_before_their_rays_lose_direction() {
+        let up = Vec3::new(0.0, 1.0, 0.0);
+        let far = Camera::try_look_at(Vec3::splat(1e17), Vec3::ZERO, up, 60.0, 1.0);
+        assert!(far.unwrap_err().contains("too far from the origin"));
+        // A million units out every ray still points through its pixel.
+        let c = Camera::try_look_at(Vec3::splat(1e6), Vec3::ZERO, up, 60.0, 1.0).unwrap();
+        for (px, py) in [(0, 0), (50, 50), (99, 99)] {
+            let r = c.ray_for(px, py, 100, 100, (0.5, 0.5));
+            assert!((r.dir.length() - 1.0).abs() < 1e-9);
+            assert!(r.dir.dot(Vec3::splat(-1.0).normalized()) > 0.7);
+        }
     }
 
     #[test]

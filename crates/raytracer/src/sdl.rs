@@ -635,6 +635,15 @@ mod tests {
                 "{text}: {err}"
             );
         }
+        // A finite eye so far out that rounding swallows the image
+        // plane: its rays would have no direction.
+        let err =
+            parse("camera eye 1e17 1e17 1e17 target 0 0 0 up 0 1 0 fov 60 aspect 1").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("line 1: camera eye is too far from the origin"),
+            "{err}"
+        );
     }
 
     proptest::proptest! {
