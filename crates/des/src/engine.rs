@@ -44,7 +44,6 @@ pub struct EventLoop<E> {
     queue: EventQueue<E>,
     now: SimTime,
     steps: u64,
-    scheduled: u64,
 }
 
 impl<E> EventLoop<E> {
@@ -54,7 +53,6 @@ impl<E> EventLoop<E> {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             steps: 0,
-            scheduled: 0,
         }
     }
 
@@ -73,9 +71,10 @@ impl<E> EventLoop<E> {
         self.steps
     }
 
-    /// Total events ever scheduled on this loop.
+    /// Total events ever scheduled on this loop, across
+    /// [`clear`](Self::clear).
     pub fn events_scheduled(&self) -> u64 {
-        self.scheduled
+        self.queue.events_pushed()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -90,7 +89,6 @@ impl<E> EventLoop<E> {
             "cannot schedule event in the past ({at} < {})",
             self.now
         );
-        self.scheduled += 1;
         self.queue.push(at, event);
     }
 
@@ -113,7 +111,6 @@ impl<E> EventLoop<E> {
                 self.now
             )
         });
-        self.scheduled += 1;
         self.queue.push(at, event);
     }
 

@@ -5,27 +5,11 @@
 //! sequence number). This is what makes the whole simulation deterministic:
 //! a plain heap alone gives no guarantee for equal keys.
 //!
-//! # Implementation: a two-level calendar queue
-//!
-//! [`EventQueue`] is a *calendar queue* (Brown 1988) specialized for the
-//! kernel's scheduling pattern, where the overwhelming majority of events
-//! fire a short delay after the current time:
-//!
-//! * a **near-future window** of `NUM_BUCKETS` (512) buckets, each covering a
-//!   power-of-two span of simulated time. Pushing into the window appends
-//!   to a bucket (amortized O(1)); popping takes from the current bucket,
-//!   which is sorted lazily the first time it is consumed;
-//! * a **far-future heap** for events beyond the window. When the window
-//!   empties, it is re-anchored at the heap's earliest event and the
-//!   bucket width is re-derived from the observed spread of the next
-//!   batch of far events, so the queue adapts to both microsecond-scale
-//!   kernel chatter and second-scale application timers.
-//!
-//! The pop order is **exactly** that of a binary heap ordered by
-//! `(time, seq)` — bit-for-bit, for any interleaving of pushes and pops —
-//! which [`reference::ReferenceQueue`] (the previous implementation) keeps
-//! checkable: the property tests below drive both queues with arbitrary
-//! workloads and require identical pop sequences.
+//! [`EventQueue`] is a binary heap ordered by `(time, seq)`. Every event's
+//! sequence number is unique, so the pop order depends only on the pushes.
+//! The kernel keeps few events pending (a few dozen on the stock
+//! workloads), where the heap's `O(log n)` push and pop and its `O(1)`
+//! peek are hard to beat.
 //!
 //! # Sequence numbers and [`EventQueue::clear`]
 //!
@@ -43,28 +27,11 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-pub mod reference;
-
-/// Number of near-future buckets. A power of two so the bucket index is a
-/// shift and mask away from the timestamp.
-const NUM_BUCKETS: usize = 512;
-
-/// Default log2 bucket width in nanoseconds (1 µs buckets → a 512 µs
-/// window), matching the kernel's context-switch/display-write scale.
-const DEFAULT_SHIFT: u32 = 10;
-
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -87,74 +54,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One near-future bucket: entries in arbitrary order until first
-/// consumed, then kept sorted **descending** by `(time, seq)` so the
-/// minimum pops from the back in O(1).
-#[derive(Debug)]
-struct Bucket<E> {
-    items: Vec<Entry<E>>,
-    sorted: bool,
-}
-
-impl<E> Bucket<E> {
-    const fn new() -> Self {
-        Bucket {
-            items: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Appends without sorting; consumption sorts lazily.
-    #[inline]
-    fn push_lazy(&mut self, entry: Entry<E>) {
-        self.sorted = false;
-        self.items.push(entry);
-    }
-
-    /// Inserts keeping descending order, so the current bucket stays
-    /// consumable in O(1) between pops.
-    #[inline]
-    fn push_sorted(&mut self, entry: Entry<E>) {
-        if !self.sorted {
-            self.items.push(entry);
-            return;
-        }
-        // Descending order: the minimum lives at the back; a new
-        // minimum appends in O(1), anything else binary-searches its
-        // slot. Current-bucket occupancy is small (a handful of
-        // events within one bucket width), so the insert memmove is
-        // cheap.
-        let key = entry.key();
-        if self.items.last().is_none_or(|last| last.key() > key) {
-            self.items.push(entry);
-            return;
-        }
-        let pos = self.items.partition_point(|e| e.key() > key);
-        self.items.insert(pos, entry);
-    }
-
-    /// Sorts descending if needed, then pops the minimum entry.
-    #[inline]
-    fn pop_min(&mut self) -> Option<Entry<E>> {
-        if !self.sorted {
-            self.items
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            self.sorted = true;
-        }
-        self.items.pop()
-    }
-
-    /// The minimum `(time, seq)` key, without mutating.
-    #[inline]
-    fn min_key(&self) -> Option<(SimTime, u64)> {
-        if self.sorted {
-            self.items.last().map(Entry::key)
-        } else {
-            self.items.iter().map(Entry::key).min()
-        }
-    }
-}
-
 /// A timestamp-ordered queue of pending events with FIFO tie-breaking.
 ///
 /// # Examples
@@ -174,19 +73,7 @@ impl<E> Bucket<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Near-future window: bucket `i` covers
-    /// `[epoch + (i << shift), epoch + ((i + 1) << shift))`.
-    buckets: Vec<Bucket<E>>,
-    /// Index of the first possibly non-empty bucket.
-    cur: usize,
-    /// Start time (ns) of bucket 0's span.
-    epoch: u64,
-    /// log2 of the bucket width in nanoseconds.
-    shift: u32,
-    /// Far-future events (at or beyond the window end).
-    far: BinaryHeap<Reverse<Entry<E>>>,
-    /// Events currently queued (near + far).
-    len: usize,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
 }
 
@@ -194,176 +81,36 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Bucket::new()).collect(),
-            cur: 0,
-            epoch: 0,
-            shift: DEFAULT_SHIFT,
-            far: BinaryHeap::new(),
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
-    }
-
-    /// Creates an empty queue with far-future space for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut q = EventQueue::new();
-        q.far = BinaryHeap::with_capacity(capacity);
-        q
-    }
-
-    /// The raw (unclamped) bucket index for `t`: how many bucket widths
-    /// past the epoch it lies. `NUM_BUCKETS` or more means "beyond the
-    /// near window".
-    ///
-    /// This is deliberately **checked**, not clamped: the previous
-    /// implementation computed a saturating window end and clamped
-    /// beyond-window indices into the last bucket, which is only sound
-    /// while every far-heap event is later than every bucketed event.
-    /// Re-anchoring around a batch wider than the largest representable
-    /// window (events near `u64::MAX` mixed with near-future ones)
-    /// broke that invariant: the clamped far-horizon event popped from
-    /// bucket 511 ahead of earlier events parked in the far heap.
-    #[inline]
-    fn raw_index(&self, t: u64) -> u64 {
-        (t.saturating_sub(self.epoch)) >> self.shift
-    }
-
-    /// The in-window bucket index for `t`, clamped below to `cur`.
-    ///
-    /// Times before the current bucket's span (legal: the queue API does
-    /// not forbid pushing "into the past") land in the current bucket,
-    /// where within-bucket ordering still pops them first. The caller
-    /// guarantees `raw_index(t) < NUM_BUCKETS`.
-    #[inline]
-    fn bucket_index(&self, t: u64) -> usize {
-        let idx = self.raw_index(t) as usize;
-        debug_assert!(idx < NUM_BUCKETS, "beyond-window time routed to a bucket");
-        idx.max(self.cur)
     }
 
     /// Enqueues `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        let entry = Entry { time, seq, event };
-        let t = time.as_nanos();
-        // Beyond the window — or the window is fully consumed
-        // (`cur == NUM_BUCKETS`): park in the far heap; the next pop
-        // re-anchors the window around it.
-        if self.cur >= NUM_BUCKETS || self.raw_index(t) >= NUM_BUCKETS as u64 {
-            self.far.push(Reverse(entry));
-            return;
-        }
-        let idx = self.bucket_index(t);
-        if idx == self.cur {
-            // The current bucket is consumed between pushes; keeping it
-            // sorted preserves O(1) peek/pop for the dominant
-            // schedule-now / tiny-delay pattern.
-            self.buckets[idx].push_sorted(entry);
-        } else {
-            self.buckets[idx].push_lazy(entry);
-        }
-    }
-
-    /// Advances `cur` past empty buckets; returns the index of the first
-    /// non-empty bucket, or `None` if the window is exhausted.
-    #[inline]
-    fn advance_to_nonempty(&mut self) -> Option<usize> {
-        while self.cur < NUM_BUCKETS {
-            if !self.buckets[self.cur].items.is_empty() {
-                return Some(self.cur);
-            }
-            self.cur += 1;
-        }
-        None
-    }
-
-    /// Re-anchors the (empty) near window at the far heap's earliest
-    /// event and re-derives the bucket width from the spread of the next
-    /// batch, then drains every far event inside the new window into the
-    /// buckets. Caller guarantees `far` is non-empty and all buckets are
-    /// empty.
-    fn re_anchor(&mut self) {
-        debug_assert!(self.buckets.iter().all(|b| b.items.is_empty()));
-        // Pull up to one bucket's worth of events to size the window.
-        let mut batch: Vec<Entry<E>> = Vec::with_capacity(NUM_BUCKETS.min(self.far.len()));
-        while batch.len() < NUM_BUCKETS {
-            match self.far.pop() {
-                Some(Reverse(e)) => batch.push(e),
-                None => break,
-            }
-        }
-        let min_t = batch.first().expect("re_anchor on empty far heap").time;
-        let max_t = batch.last().expect("nonempty batch").time;
-        let span = max_t.as_nanos() - min_t.as_nanos();
-        // Aim for roughly one batch event per bucket: width ≥ span / N,
-        // clamped so degenerate spreads stay sane.
-        self.shift = if span == 0 {
-            DEFAULT_SHIFT
-        } else {
-            (64 - (span / NUM_BUCKETS as u64).leading_zeros()).clamp(1, 40)
-        };
-        self.epoch = min_t.as_nanos();
-        self.cur = 0;
-        for e in batch {
-            // A clamped bucket width (shift caps at 40) can leave part
-            // of the batch beyond the widest representable window; those
-            // events go back to the far heap — clamping them into the
-            // last bucket would let them pop ahead of earlier far-heap
-            // events (the far-horizon overflow bug).
-            if self.raw_index(e.time.as_nanos()) >= NUM_BUCKETS as u64 {
-                self.far.push(Reverse(e));
-            } else {
-                let idx = self.bucket_index(e.time.as_nanos());
-                self.buckets[idx].push_lazy(e);
-            }
-        }
-        // The window may now cover further far events; the invariant
-        // (every far event at/beyond the window end) must be restored.
-        while let Some(Reverse(e)) = self.far.peek() {
-            if self.raw_index(e.time.as_nanos()) >= NUM_BUCKETS as u64 {
-                break;
-            }
-            let Reverse(e) = self.far.pop().expect("peeked nonempty heap");
-            let idx = self.bucket_index(e.time.as_nanos());
-            self.buckets[idx].push_lazy(e);
-        }
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if let Some(idx) = self.advance_to_nonempty() {
-                let e = self.buckets[idx].pop_min().expect("nonempty bucket");
-                self.len -= 1;
-                return Some((e.time, e.event));
-            }
-            if self.far.is_empty() {
-                return None;
-            }
-            self.re_anchor();
-        }
+        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        for b in &self.buckets[self.cur..] {
-            if let Some((t, _)) = b.min_key() {
-                return Some(t);
-            }
-        }
-        self.far.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Removes all pending events.
@@ -373,13 +120,7 @@ impl<E> EventQueue<E> {
     /// global FIFO numbering, which changes nothing about pop order but
     /// keeps event identities unique across the whole run.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.items.clear();
-            b.sorted = true;
-        }
-        self.cur = 0;
-        self.far.clear();
-        self.len = 0;
+        self.heap.clear();
     }
 
     /// Total events ever pushed onto this queue — the next event's FIFO
@@ -398,9 +139,10 @@ impl<E> Default for EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::ReferenceQueue;
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use std::collections::BTreeMap;
 
     #[test]
     fn orders_by_time() {
@@ -442,7 +184,7 @@ mod tests {
     #[test]
     fn far_future_events_cross_the_window() {
         let mut q = EventQueue::new();
-        // Far beyond the initial window (1 µs × 512 buckets ≈ 0.5 ms).
+        // Seconds apart, pushed out of order.
         q.push(SimTime::from_secs(10), "far");
         q.push(SimTime::from_nanos(1), "near");
         q.push(SimTime::from_secs(3), "mid");
@@ -459,7 +201,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(100), 0);
         assert_eq!(q.pop(), Some((SimTime::from_nanos(100), 0)));
-        // Push "into the past" relative to the consumed bucket: the queue
+        // Push "into the past" relative to the last pop: the queue
         // API permits it and must still pop in (time, seq) order.
         q.push(SimTime::from_nanos(50), 1);
         q.push(SimTime::from_nanos(150), 2);
@@ -504,21 +246,15 @@ mod tests {
     }
 
     /// A far-horizon sentinel (e.g. an "unreachable" timeout near
-    /// `u64::MAX`) must never overtake a much earlier event, even when a
-    /// re-anchor pulls the sentinel into the near window. Before the
-    /// checked-index fix, re-anchoring around a batch wider than the
-    /// largest representable window clamped the sentinel into bucket 511,
-    /// and a later push landing in the far heap popped *after* it.
+    /// `u64::MAX`) must never overtake a much earlier event, including
+    /// one pushed after the sentinel.
     #[test]
     fn far_horizon_sentinel_does_not_overtake_earlier_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(1), "a");
         q.push(SimTime::MAX, "sentinel");
-        // Re-anchors around [1s, u64::MAX]: the span exceeds the widest
-        // window (512 buckets × 2^40 ns), so the sentinel must go back to
-        // the far heap, not into the last bucket.
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
-        // Lands between the window end and the sentinel.
+        // Lands between the last pop and the sentinel.
         q.push(SimTime::from_nanos(1 << 50), "b");
         assert_eq!(q.pop(), Some((SimTime::from_nanos(1 << 50), "b")));
         assert_eq!(q.pop(), Some((SimTime::MAX, "sentinel")));
@@ -541,9 +277,10 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// One step of the differential workload driver.
+    /// One step of a random workload checked against the model.
     #[derive(Debug, Clone)]
     enum Op {
+        /// Push at a delay after the last popped time.
         Push(u64),
         /// Push at an absolute time near the `u64::MAX` horizon.
         PushFar(u64),
@@ -552,9 +289,8 @@ mod tests {
 
     /// Decodes a `(selector, value)` pair into an [`Op`], weighting the
     /// mix the way a simulation behaves: mostly short-delay pushes, some
-    /// equal-timestamp bursts, some horizon-spanning far-future pushes,
-    /// a few far-horizon sentinels near `u64::MAX`, and pops from every
-    /// window state.
+    /// equal-timestamp bursts, some pushes seconds past the last pop, a
+    /// few far-horizon sentinels near `u64::MAX`, and pops.
     fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..10, 0u64..10_000_000_000).prop_map(|(sel, v)| match sel {
             0..=3 => Op::Push(v % 5_000),
@@ -563,6 +299,80 @@ mod tests {
             7 => Op::PushFar(u64::MAX - v % 50_000),
             _ => Op::Pop,
         })
+    }
+
+    /// An [`EventQueue`] driven in lockstep with its specification: a
+    /// map keyed by `(time, push index)`, whose first entry is by
+    /// definition the event the queue must pop next.
+    struct Checked {
+        queue: EventQueue<usize>,
+        model: BTreeMap<(SimTime, u64), usize>,
+        /// Pushes ever made, across `clear` — the next push index.
+        pushed: u64,
+        /// Time of the last pop; [`Op::Push`] delays count from it, so
+        /// the workload walks forward as a simulation does.
+        base: u64,
+    }
+
+    impl Checked {
+        fn new() -> Self {
+            Checked {
+                queue: EventQueue::new(),
+                model: BTreeMap::new(),
+                pushed: 0,
+                base: 0,
+            }
+        }
+
+        fn push(&mut self, nanos: u64, payload: usize) {
+            let t = SimTime::from_nanos(nanos);
+            self.queue.push(t, payload);
+            self.model.insert((t, self.pushed), payload);
+            self.pushed += 1;
+        }
+
+        /// Applies `op` (tagged `payload` if it pushes) to both sides,
+        /// then checks every observable against the model.
+        fn apply(&mut self, payload: usize, op: &Op) -> Result<(), TestCaseError> {
+            match *op {
+                // Saturating: a popped far-horizon sentinel can leave
+                // `base` near the u64 ceiling.
+                Op::Push(delay) => self.push(self.base.saturating_add(delay), payload),
+                Op::PushFar(t) => self.push(t, payload),
+                Op::Pop => {
+                    let popped = self.queue.pop();
+                    let expected = self.model.pop_first().map(|((t, _), v)| (t, v));
+                    prop_assert_eq!(popped, expected);
+                    if let Some((t, _)) = popped {
+                        self.base = t.as_nanos();
+                    }
+                }
+            }
+            prop_assert_eq!(
+                self.queue.peek_time(),
+                self.model.first_key_value().map(|(&(t, _), _)| t)
+            );
+            prop_assert_eq!(self.queue.len(), self.model.len());
+            prop_assert_eq!(self.queue.is_empty(), self.model.is_empty());
+            prop_assert_eq!(self.queue.events_pushed(), self.pushed);
+            Ok(())
+        }
+
+        fn run(&mut self, ops: &[Op]) -> Result<(), TestCaseError> {
+            for (i, op) in ops.iter().enumerate() {
+                self.apply(i, op)?;
+            }
+            Ok(())
+        }
+
+        /// Pops until both sides are empty, checking each pop.
+        fn drain(&mut self) -> Result<(), TestCaseError> {
+            while !self.model.is_empty() {
+                self.apply(0, &Op::Pop)?;
+            }
+            prop_assert_eq!(self.queue.pop(), None);
+            Ok(())
+        }
     }
 
     proptest! {
@@ -586,87 +396,31 @@ mod tests {
             }
         }
 
-        /// Differential test against the reference binary-heap queue: for
-        /// arbitrary interleaved push/pop workloads — equal-timestamp
-        /// bursts, horizon-spanning delays, pops from every window state —
-        /// the calendar queue and the reference queue produce identical
-        /// pop sequences.
+        /// For arbitrary interleaved push/pop workloads — equal-timestamp
+        /// bursts, delays seconds long, sentinels at the `u64` horizon —
+        /// every pop, `peek_time`, `len` and `events_pushed` matches the
+        /// `(time, push index)` model.
         #[test]
-        fn matches_reference_queue(ops in proptest::collection::vec(op_strategy(), 0..400)) {
-            let mut calendar = EventQueue::new();
-            let mut reference = ReferenceQueue::new();
-            // Drive pushes relative to the last popped time so the
-            // workload walks forward through many windows, as a
-            // simulation does.
-            let mut base = 0u64;
-            for (i, op) in ops.iter().enumerate() {
-                match op {
-                    Op::Push(delay) => {
-                        // Saturating: a popped far-horizon sentinel can
-                        // leave `base` near the u64 ceiling.
-                        let t = SimTime::from_nanos(base.saturating_add(*delay));
-                        calendar.push(t, i);
-                        reference.push(t, i);
-                    }
-                    Op::PushFar(t) => {
-                        let t = SimTime::from_nanos(*t);
-                        calendar.push(t, i);
-                        reference.push(t, i);
-                    }
-                    Op::Pop => {
-                        prop_assert_eq!(calendar.peek_time(), reference.peek_time());
-                        let a = calendar.pop();
-                        let b = reference.pop();
-                        prop_assert_eq!(a, b);
-                        if let Some((t, _)) = a {
-                            base = t.as_nanos();
-                        }
-                    }
-                }
-                prop_assert_eq!(calendar.len(), reference.len());
-            }
-            // Drain both completely.
-            loop {
-                prop_assert_eq!(calendar.peek_time(), reference.peek_time());
-                let a = calendar.pop();
-                let b = reference.pop();
-                prop_assert_eq!(&a, &b);
-                if a.is_none() {
-                    break;
-                }
-            }
+        fn matches_ordered_map_model(ops in proptest::collection::vec(op_strategy(), 0..400)) {
+            let mut checked = Checked::new();
+            checked.run(&ops)?;
+            checked.drain()?;
         }
 
-        /// Same differential check under a clear() injected mid-workload.
+        /// The same check with a `clear()` mid-run: both sides empty, and
+        /// the queue's push count carries on from where it was.
         #[test]
-        fn matches_reference_across_clear(
-            before in proptest::collection::vec(0u64..100_000, 0..50),
-            after in proptest::collection::vec(0u64..100_000, 0..50),
+        fn matches_ordered_map_model_across_clear(
+            before in proptest::collection::vec(op_strategy(), 0..200),
+            after in proptest::collection::vec(op_strategy(), 0..200),
         ) {
-            let mut calendar = EventQueue::new();
-            let mut reference = ReferenceQueue::new();
-            for (i, &t) in before.iter().enumerate() {
-                calendar.push(SimTime::from_nanos(t), i);
-                reference.push(SimTime::from_nanos(t), i);
-            }
-            // Consume half, then clear.
-            for _ in 0..before.len() / 2 {
-                prop_assert_eq!(calendar.pop(), reference.pop());
-            }
-            calendar.clear();
-            reference.clear();
-            prop_assert_eq!(calendar.events_pushed(), reference.events_pushed());
-            for (i, &t) in after.iter().enumerate() {
-                calendar.push(SimTime::from_nanos(t), i);
-                reference.push(SimTime::from_nanos(t), i);
-            }
-            loop {
-                let a = calendar.pop();
-                prop_assert_eq!(&a, &reference.pop());
-                if a.is_none() {
-                    break;
-                }
-            }
+            let mut checked = Checked::new();
+            checked.run(&before)?;
+            checked.queue.clear();
+            checked.model.clear();
+            prop_assert_eq!(checked.queue.events_pushed(), checked.pushed);
+            checked.run(&after)?;
+            checked.drain()?;
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Conservative-lookahead sharded event execution.
 //!
 //! [`ShardedEventLoop`] splits a simulation into `K` shards, each owning
-//! its own calendar [`EventQueue`] and local clock. Shards advance
+//! its own [`EventQueue`] and local clock. Shards advance
 //! independently inside a **lookahead window**: every epoch the engine
 //! computes the global minimum next-event time `W` and lets each shard
 //! execute all events in `[W, W + L)` in parallel, where `L` is the
@@ -47,7 +47,7 @@ struct Outgoing<E> {
     event: E,
 }
 
-/// Per-shard engine state: the shard's calendar queue and local clock.
+/// Per-shard engine state: the shard's event queue and local clock.
 #[derive(Debug)]
 struct ShardState<E> {
     queue: EventQueue<E>,

@@ -14,6 +14,10 @@ use crate::recorder::StoredRecord;
 /// local (claimed-global) timestamp. Ties are broken by channel to keep
 /// the merge deterministic.
 ///
+/// Takes the local traces by value and frees each one as soon as its
+/// records are in the global trace, so the local traces are released
+/// during the merge instead of after it.
+///
 /// # Examples
 ///
 /// ```
@@ -33,14 +37,14 @@ use crate::recorder::StoredRecord;
 ///     event: MonEvent::new(2, 0),
 ///     true_time: SimTime::from_nanos(1_000),
 /// }];
-/// let merged = merge_traces(&[rec0, rec1]);
+/// let merged = merge_traces(vec![rec0, rec1]);
 /// assert_eq!(merged[0].event.token.value(), 2);
 /// ```
-pub fn merge_traces(local_traces: &[Vec<StoredRecord>]) -> Vec<TraceRecord> {
+pub fn merge_traces(local_traces: Vec<Vec<StoredRecord>>) -> Vec<TraceRecord> {
     let total: usize = local_traces.iter().map(Vec::len).sum();
     let mut all: Vec<TraceRecord> = Vec::with_capacity(total);
-    for (recorder, trace) in local_traces.iter().enumerate() {
-        all.extend(trace.iter().map(|r| TraceRecord {
+    for (recorder, trace) in local_traces.into_iter().enumerate() {
+        all.extend(trace.into_iter().map(|r| TraceRecord {
             ts_ns: r.local_ts,
             channel: r.channel,
             recorder,
@@ -70,7 +74,7 @@ mod tests {
 
     #[test]
     fn merge_is_globally_sorted() {
-        let merged = merge_traces(&[
+        let merged = merge_traces(vec![
             vec![rec(10, 0, 1), rec(30, 0, 2)],
             vec![rec(20, 1, 3), rec(40, 1, 4)],
         ]);
@@ -81,14 +85,14 @@ mod tests {
 
     #[test]
     fn merge_of_empty_is_empty() {
-        assert!(merge_traces(&[]).is_empty());
-        assert!(merge_traces(&[vec![], vec![]]).is_empty());
+        assert!(merge_traces(vec![]).is_empty());
+        assert!(merge_traces(vec![vec![], vec![]]).is_empty());
     }
 
     #[test]
     fn ties_break_deterministically() {
-        let a = merge_traces(&[vec![rec(5, 1, 9)], vec![rec(5, 0, 8)]]);
-        let b = merge_traces(&[vec![rec(5, 1, 9)], vec![rec(5, 0, 8)]]);
+        let a = merge_traces(vec![vec![rec(5, 1, 9)], vec![rec(5, 0, 8)]]);
+        let b = merge_traces(vec![vec![rec(5, 1, 9)], vec![rec(5, 0, 8)]]);
         assert_eq!(a, b);
         assert_eq!(a[0].channel, 0);
     }

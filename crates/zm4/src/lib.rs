@@ -263,7 +263,7 @@ impl Zm4 {
             recorder_stats.push(stats);
         }
 
-        let trace = merge_traces(&local_traces);
+        let trace = merge_traces(local_traces);
         Measurement {
             trace,
             recorder_stats,
