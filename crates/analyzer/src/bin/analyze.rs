@@ -11,7 +11,7 @@
 //!   --strict           shorthand for --fail-on error
 //!   --json PATH        write all reports as JSON ("-" for stdout)
 //!   --sarif PATH       write all reports as SARIF 2.1.0 ("-" for
-//!                      stdout)
+//!                      stdout; at most one of the two may be "-")
 //!   --preemptive       also model-check the preemptive-scheduler
 //!                      variant and print its counterexample
 //!   --races            run the DPOR message-race explorer and append
@@ -27,8 +27,12 @@
 //! each analyzed version, so regressions in analysis cost are visible
 //! in CI artifacts.
 //!
+//! The human-readable reports go to stdout, or to stderr when `--json -`
+//! or `--sarif -` puts a document there, so that stdout parses.
+//!
 //! With no version arguments, analyzes all four.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use analyzer::{
@@ -107,6 +111,18 @@ fn main() -> ExitCode {
     if versions.is_empty() {
         versions = Version::ALL.to_vec();
     }
+    let json_on_stdout = json_path.as_deref() == Some("-");
+    let sarif_on_stdout = sarif_path.as_deref() == Some("-");
+    if json_on_stdout && sarif_on_stdout {
+        return usage("only one of --json and --sarif can write to stdout (`-`)");
+    }
+    let say = |text: String| {
+        if json_on_stdout || sarif_on_stdout {
+            eprint!("{text}");
+        } else {
+            print!("{text}");
+        }
+    };
 
     let budget = if deep {
         ModelBudget::full()
@@ -120,9 +136,7 @@ fn main() -> ExitCode {
     for &version in &versions {
         let cfg = PipelineConfig::new(AppConfig::version(version));
         let (report, layers) = analyzer::analyze(&cfg, &budget);
-        println!("== {version} ==");
-        print!("{}", report.render());
-        println!();
+        say(format!("== {version} ==\n{}\n", report.render()));
         worst = worst.max(report.max_severity());
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
         timings.push((
@@ -143,24 +157,28 @@ fn main() -> ExitCode {
         for &version in &versions {
             let app = AppConfig::version(version);
             let verdict = check_preemptive_variant(&app, &budget);
-            println!("== {version}, preemptive scheduler variant ==");
+            let mut stanza = format!("== {version}, preemptive scheduler variant ==\n");
             match verdict.sync2_violation.or(verdict.sync1_violation) {
                 Some(path) => {
-                    println!(
+                    stanza.push_str(
                         "effective synchrony BREAKS under preemption; counterexample \
-                         interleaving:"
+                         interleaving:\n",
                     );
                     for (i, step) in path.iter().enumerate() {
-                        println!("  {:>3}. {step}", i + 1);
+                        let _ = writeln!(stanza, "  {:>3}. {step}", i + 1);
                     }
                 }
-                None => println!(
-                    "no violation found ({} states explored{})",
-                    verdict.states,
-                    if verdict.bounded { ", bounded" } else { "" }
-                ),
+                None => {
+                    let _ = writeln!(
+                        stanza,
+                        "no violation found ({} states explored{})",
+                        verdict.states,
+                        if verdict.bounded { ", bounded" } else { "" }
+                    );
+                }
             }
-            println!();
+            stanza.push('\n');
+            say(stanza);
         }
     }
 
@@ -174,9 +192,7 @@ fn main() -> ExitCode {
                     eprintln!("strict mode: {raised} race warning(s) denied for {version}");
                 }
             }
-            println!("== {} ==", report.subject);
-            print!("{}", report.render());
-            println!();
+            say(format!("== {} ==\n{}\n", report.subject, report.render()));
             worst = worst.max(report.max_severity());
             reports.push(report);
         }

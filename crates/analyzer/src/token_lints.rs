@@ -185,8 +185,8 @@ impl TokenMap {
         }
     }
 
-    /// `AN-TOKEN-002`: two declarations with the same id. The token
-    /// registry silently overwrites on collision, so the first
+    /// `AN-TOKEN-002`: two declarations with the same id. The activity
+    /// model silently overwrites on collision, so the first
     /// declaration's events get reattributed to the second's activity.
     fn lint_duplicate_ids(&self, report: &mut Report) {
         let mut by_id: BTreeMap<u16, Vec<&TokenDecl>> = BTreeMap::new();
@@ -212,7 +212,7 @@ impl TokenMap {
                 )
                 .at(self.span(decls[0]))
                 .note(
-                    "TokenRegistry::register keeps only the last registration, so \
+                    "ActivityModel::state keeps only the last declaration, so \
                      earlier points are silently reattributed",
                 )
                 .help("give each instrumentation point a unique id"),

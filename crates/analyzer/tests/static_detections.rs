@@ -28,7 +28,7 @@ fn v3_pixel_queue_bug_is_found_statically() {
 fn unbalanced_token_map_is_found() {
     let mut map = TokenMap::raysim_application();
     // Delete the "Send Jobs" begin declaration, leaving its end token
-    // orphaned — the registry itself accepts this silently.
+    // orphaned — the activity model itself accepts this silently.
     map.decls.retain(|d| d.name != "Send Jobs");
     let report = map.lint();
     let finding = report

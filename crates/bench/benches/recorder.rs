@@ -1,11 +1,10 @@
-//! Event-recorder benchmarks: FIFO ingest under different load shapes,
-//! and ingest into a sink that keeps only a digest.
+//! Event-recorder benchmarks: FIFO ingest under different load shapes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use suprenum_monitor::des::clock::ClockModel;
 use suprenum_monitor::des::time::{SimDuration, SimTime};
 use suprenum_monitor::hybridmon::MonEvent;
-use suprenum_monitor::zm4::{DetectedEvent, DigestSink, EventRecorder};
+use suprenum_monitor::zm4::{DetectedEvent, EventRecorder};
 
 fn events(count: u64, period_ns: u64) -> Vec<DetectedEvent> {
     (0..count)
@@ -40,29 +39,5 @@ fn bench_recorder(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ingest into [`DigestSink`], which folds each record into an FNV-1a
-/// fingerprint instead of storing it.
-fn bench_digest_sink(c: &mut Criterion) {
-    let mut g = c.benchmark_group("recorder_ingest");
-    let evs = events(10_000, 150_000);
-    g.throughput(Throughput::Elements(evs.len() as u64));
-    g.bench_function("digest_sink", |b| {
-        b.iter(|| {
-            let clock = ClockModel::synchronized(SimDuration::from_nanos(100));
-            let mut rec = EventRecorder::with_sink(
-                clock,
-                32 * 1024,
-                SimDuration::from_micros(100),
-                DigestSink::new(),
-            );
-            for &ev in &evs {
-                rec.record(ev);
-            }
-            black_box(rec.finish())
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_recorder, bench_digest_sink);
+criterion_group!(benches, bench_recorder);
 criterion_main!(benches);

@@ -61,11 +61,9 @@ pub mod decode;
 pub mod encode;
 pub mod event;
 pub mod pattern;
-pub mod registry;
 pub mod software;
 
 pub use cost::{IntrusionReport, MonitorCosts, MonitoringMode};
 pub use decode::Decoder;
 pub use event::{EventParam, EventToken, MonEvent};
 pub use pattern::Pattern;
-pub use registry::TokenRegistry;

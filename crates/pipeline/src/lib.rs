@@ -431,6 +431,11 @@ pub fn try_run_workload<W: Workload>(
             "invalid fault configuration: {e}"
         )));
     }
+    if let Err(e) = cfg.zm4.validate() {
+        return Err(PipelineError::Invalid(format!(
+            "invalid monitor configuration: {e}"
+        )));
+    }
     let analysis_start = std::time::Instant::now();
     let preflight = try_preflight(&cfg)?;
     let analysis = analysis_start.elapsed();
@@ -538,6 +543,7 @@ pub fn run_workload<W: Workload>(cfg: PipelineConfig<W>) -> PipelineResult<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use des::time::SimDuration;
 
     #[test]
     fn machine_sizing_matches_the_paper_setup() {
@@ -574,6 +580,42 @@ mod tests {
         cfg.engine_shards = 0;
         let err = try_run_workload(cfg).unwrap_err();
         assert!(err.to_string().contains("engine shard"));
+    }
+
+    #[test]
+    fn unbuildable_monitor_is_refused_before_the_run() {
+        let broken = |edit: fn(&mut Zm4Config)| {
+            let mut zm4 = Zm4Config::default();
+            edit(&mut zm4);
+            zm4
+        };
+        let bad = [
+            (
+                "streams_per_recorder",
+                broken(|z| z.streams_per_recorder = 0),
+            ),
+            ("dpus_per_agent", broken(|z| z.dpus_per_agent = 0)),
+            ("fifo_capacity", broken(|z| z.fifo_capacity = 0)),
+            (
+                "clock_resolution",
+                broken(|z| z.clock_resolution = SimDuration::ZERO),
+            ),
+            ("disk_drain_rate", broken(|z| z.disk_drain_rate = 0)),
+            (
+                "disk_drain_rate",
+                broken(|z| z.disk_drain_rate = 1_000_000_001),
+            ),
+        ];
+        for (field, zm4) in bad {
+            let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
+            cfg.zm4 = zm4;
+            match try_run_workload(cfg) {
+                Err(PipelineError::Invalid(msg)) => assert!(msg.contains(field), "{field}: {msg}"),
+                Err(e) => panic!("{field}: expected Invalid, got {e}"),
+                Ok(_) => panic!("{field}: the run was not refused"),
+            }
+        }
+        assert_eq!(Zm4Config::default().validate(), Ok(()));
     }
 
     #[test]

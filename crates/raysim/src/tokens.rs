@@ -11,7 +11,6 @@
 //! agent index for agent events (enabling per-agent Gantt tracks even
 //! though all agents share the master's display channel).
 
-use hybridmon::TokenRegistry;
 use simple::ActivityModel;
 
 // ---------------------------------------------------------------------
@@ -61,11 +60,11 @@ pub const AGENT_SLEEP: u16 = 0x0304;
 /// The declared point map: `(token id, activity name, group)` for every
 /// instrumentation point above, in declaration order.
 ///
-/// This is the raw, uncollapsed list a static analyzer wants to lint —
-/// unlike [`registry`], which silently collapses colliding ids into a
-/// map. Names follow the paper's convention: a `… End` name closes the
-/// activity of the same base name; any other name begins an activity
-/// that the role's next point implicitly ends.
+/// This is the raw, uncollapsed list a static analyzer wants to lint:
+/// colliding ids stay visible here, where an [`ActivityModel`] keeps
+/// only the last. Names follow the paper's convention: a `… End` name
+/// closes the activity of the same base name; any other name begins an
+/// activity that the role's next point implicitly ends.
 pub fn point_map() -> Vec<(u16, &'static str, &'static str)> {
     vec![
         (DISTRIBUTE_JOBS_BEGIN, "Distribute Jobs", "Master"),
@@ -83,15 +82,6 @@ pub fn point_map() -> Vec<(u16, &'static str, &'static str)> {
         (AGENT_FREED, "Freed", "Agent"),
         (AGENT_SLEEP, "Sleep", "Agent"),
     ]
-}
-
-/// Registry naming every instrumentation point (for reports).
-pub fn registry() -> TokenRegistry {
-    let mut reg = TokenRegistry::new();
-    for (token, name, group) in point_map() {
-        reg.register(token.into(), name, group);
-    }
-    reg
 }
 
 /// Activity model for a master track (Gantt rows of Figures 7 and 9).
@@ -134,25 +124,6 @@ pub fn agent_activity_model() -> ActivityModel {
 mod tests {
     use super::*;
     use hybridmon::EventToken;
-
-    #[test]
-    fn point_map_matches_registry() {
-        let map = point_map();
-        assert_eq!(map.len(), 14);
-        let reg = registry();
-        for (token, name, group) in map {
-            assert_eq!(reg.name(EventToken::new(token)), Some(name));
-            assert_eq!(reg.group(EventToken::new(token)), Some(group));
-        }
-    }
-
-    #[test]
-    fn registry_covers_all_tokens() {
-        let reg = registry();
-        assert_eq!(reg.len(), 14);
-        assert_eq!(reg.name(EventToken::new(WORK_BEGIN)), Some("Work"));
-        assert_eq!(reg.group(EventToken::new(AGENT_FREED)), Some("Agent"));
-    }
 
     #[test]
     fn activity_models_are_disjoint_by_group() {

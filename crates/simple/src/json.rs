@@ -1,11 +1,11 @@
 //! JSON, the one way the workspace writes and reads its artifacts.
 //!
-//! Traces travel as CSV ([`crate::io`]); everything else a run leaves
-//! for other tools — sweep and bench artifacts, analyzer reports, SARIF
-//! logs — is a [`Value`] tree, pretty-printed by its `Display` (two-space
-//! indentation, fields in insertion order) and read back by the strict
-//! [`parse`]. Numbers keep their literal text both ways, so a `u64` seed
-//! above 2^53 or a `{:.3}` timing round-trips unchanged.
+//! Everything a run leaves for other tools — sweep and bench artifacts,
+//! analyzer reports, SARIF logs — is a [`Value`] tree, pretty-printed
+//! by its `Display` (two-space indentation, fields in insertion order)
+//! and read back by the strict [`parse`]. Numbers keep their literal
+//! text both ways, so a `u64` seed above 2^53 or a `{:.3}` timing
+//! round-trips unchanged.
 //!
 //! ```
 //! use simple::json::{self, Value};

@@ -17,8 +17,8 @@
 //! * trace validation ([`validate`]): timestamp monotonicity and
 //!   send/receive causality checks, used to demonstrate the value of the
 //!   ZM4's globally valid timestamps;
-//! * trace interchange as CSV ([`io`]) and every other artifact as JSON
-//!   ([`json`]): one value tree, one writer, one strict reader.
+//! * every artifact as JSON ([`json`]): one value tree, one writer, one
+//!   strict reader.
 //!
 //! # Examples
 //!
@@ -43,9 +43,7 @@
 
 pub mod activity;
 pub mod gantt;
-pub mod io;
 pub mod json;
-pub mod report;
 pub mod stats;
 pub mod timeline;
 pub mod trace;
@@ -53,8 +51,6 @@ pub mod validate;
 
 pub use activity::{ActivityModel, ActivityTrack, Interval};
 pub use gantt::{Gantt, GanttStyle};
-pub use io::{from_csv, to_csv};
-pub use report::activity_report;
 pub use stats::{state_durations, utilization, UtilizationReport};
 pub use timeline::StateTimeline;
 pub use trace::{Event, Trace, TraceError};

@@ -71,6 +71,40 @@ impl Zm4Config {
     /// (paper §3.1: "bursts of up to 10 million events/s").
     pub const BURST_RATE_HZ: u64 = 10_000_000;
 
+    /// Fastest drain rate whose service time is still a whole
+    /// nanosecond: any faster rate rounds it to zero, which the
+    /// recorder refuses.
+    const MAX_DRAIN_RATE: u64 = 1_000_000_000;
+
+    /// Checks that a monitor can be built from this configuration: the
+    /// conditions [`crate::Zm4::observe`] and its recorders assert,
+    /// reported as an error naming the field instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.streams_per_recorder == 0 {
+            return Err("streams_per_recorder must be at least 1".into());
+        }
+        if self.dpus_per_agent == 0 {
+            return Err("dpus_per_agent must be at least 1".into());
+        }
+        if self.fifo_capacity == 0 {
+            return Err("fifo_capacity must be at least 1".into());
+        }
+        if self.clock_resolution.is_zero() {
+            return Err("clock_resolution must be positive".into());
+        }
+        if !(1..=Self::MAX_DRAIN_RATE).contains(&self.disk_drain_rate) {
+            return Err(format!(
+                "disk_drain_rate must be in 1..={} events/s",
+                Self::MAX_DRAIN_RATE
+            ));
+        }
+        Ok(())
+    }
+
     /// Service time of one FIFO→disk record.
     ///
     /// # Panics

@@ -63,7 +63,7 @@ pub use config::Zm4Config;
 pub use detector::{DetectedEvent, EventDetector, ProbeSample};
 pub use dpu::Dpu;
 pub use measurement::{Measurement, TraceRecord};
-pub use recorder::{DigestSink, EventRecorder, RecordSink, RecorderStats, StoredRecord};
+pub use recorder::{EventRecorder, RecorderStats, StoredRecord};
 pub use serial::{detect_serial, SerialProbe, SerialSample};
 
 use des::rng::DetRng;

@@ -11,22 +11,12 @@
 //! The drain is modelled as a deterministic single-server queue: each
 //! stored record departs `drain_service_time` after the previous
 //! departure (or after its own arrival, whichever is later); a record
-//! occupies a FIFO slot until its departure.
-//!
-//! # Record sinks
-//!
-//! "Disk" is a [`RecordSink`]: by default a `Vec<StoredRecord>` (the
-//! local trace, as before), but callers that only need a fingerprint or
-//! statistics can plug in a [`DigestSink`], which folds every record
-//! into an incremental FNV-1a digest and retains nothing — the
-//! steady-state ingest path then performs **no heap allocation at all**
-//! (asserted by the `no_alloc` integration test).
+//! occupies a FIFO slot until its departure. "Disk" is a
+//! `Vec<StoredRecord>`: the recorder's local trace.
 
 use std::collections::VecDeque;
-use std::fmt;
 
 use des::clock::ClockModel;
-use des::digest::Fnv64;
 use des::time::SimTime;
 
 use crate::detector::DetectedEvent;
@@ -46,23 +36,6 @@ pub struct StoredRecord {
     pub true_time: SimTime,
 }
 
-/// Lazy one-line rendering (`local_ts channel token param`): nothing is
-/// allocated until the record is actually written to a formatter, so
-/// reporting paths can pass records around without `format!`-ing each
-/// one eagerly.
-impl fmt::Display for StoredRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ch{} token={:#06x} param={:#010x}",
-            self.local_ts,
-            self.channel,
-            self.event.token.value(),
-            self.event.param.value()
-        )
-    }
-}
-
 /// Health counters of one event recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecorderStats {
@@ -74,107 +47,7 @@ pub struct RecorderStats {
     pub max_fifo_occupancy: usize,
 }
 
-/// Lazy summary line — see [`StoredRecord`]'s `Display` note.
-impl fmt::Display for RecorderStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "recorded={} lost={} max_fifo={}",
-            self.recorded, self.lost, self.max_fifo_occupancy
-        )
-    }
-}
-
-/// Where drained records go.
-///
-/// Implemented by `Vec<StoredRecord>` (retain the local trace) and
-/// [`DigestSink`] (retain only an FNV-1a fingerprint plus a count).
-pub trait RecordSink {
-    /// Accepts one record leaving the FIFO for "disk".
-    fn accept(&mut self, record: StoredRecord);
-}
-
-impl RecordSink for Vec<StoredRecord> {
-    #[inline]
-    fn accept(&mut self, record: StoredRecord) {
-        self.push(record);
-    }
-}
-
-/// A sink that keeps an incremental FNV-1a digest of the record stream
-/// instead of the records themselves. Zero retained storage, zero
-/// allocation per record.
-///
-/// # Examples
-///
-/// ```
-/// use des::clock::ClockModel;
-/// use des::time::{SimDuration, SimTime};
-/// use hybridmon::MonEvent;
-/// use zm4::{DetectedEvent, DigestSink, EventRecorder};
-///
-/// let clock = ClockModel::synchronized(SimDuration::from_nanos(100));
-/// let mut rec =
-///     EventRecorder::with_sink(clock, 4, SimDuration::from_micros(100), DigestSink::new());
-/// rec.record(DetectedEvent {
-///     time: SimTime::from_nanos(1_234),
-///     channel: 0,
-///     event: MonEvent::new(1, 2),
-/// });
-/// let (sink, stats) = rec.finish();
-/// assert_eq!(sink.records(), 1);
-/// assert_eq!(stats.recorded, 1);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DigestSink {
-    hash: Fnv64,
-    records: u64,
-}
-
-impl DigestSink {
-    /// An empty digest sink.
-    pub const fn new() -> Self {
-        DigestSink {
-            hash: Fnv64::new(),
-            records: 0,
-        }
-    }
-
-    /// The FNV-1a digest of every record accepted so far.
-    pub const fn digest(&self) -> u64 {
-        self.hash.finish()
-    }
-
-    /// Number of records accepted.
-    pub const fn records(&self) -> u64 {
-        self.records
-    }
-}
-
-impl RecordSink for DigestSink {
-    #[inline]
-    fn accept(&mut self, record: StoredRecord) {
-        self.hash.write_u64(record.local_ts);
-        self.hash.write_u64(record.channel as u64);
-        self.hash.write_u64(record.event.raw48());
-        self.hash.write_u64(record.true_time.as_nanos());
-        self.records += 1;
-    }
-}
-
-/// FIFO slots preallocated at construction. Real occupancies stay far
-/// below the 32K hardware capacity (that headroom is the paper's sizing
-/// argument), so preallocating the full capacity would waste megabytes
-/// per recorder; this slab covers every burst the simulated workloads
-/// produce without a single resize, and pathological overloads merely
-/// fall back to growth.
-const FIFO_SLAB: usize = 1024;
-
 /// One event recorder with its clock, FIFO and disk drain.
-///
-/// Generic over the [`RecordSink`] receiving drained records; the
-/// default sink retains the full local trace in a `Vec`, matching the
-/// real recorder's disk file.
 ///
 /// # Examples
 ///
@@ -197,14 +70,14 @@ const FIFO_SLAB: usize = 1024;
 /// assert_eq!(stats.lost, 0);
 /// ```
 #[derive(Debug)]
-pub struct EventRecorder<S: RecordSink = Vec<StoredRecord>> {
+pub struct EventRecorder {
     clock: ClockModel,
     capacity: usize,
     service: des::time::SimDuration,
     /// Records in the FIFO with their scheduled departure times.
     fifo: VecDeque<(StoredRecord, SimTime)>,
     last_departure: SimTime,
-    stored: S,
+    stored: Vec<StoredRecord>,
     stats: RecorderStats,
 }
 
@@ -215,31 +88,15 @@ impl EventRecorder {
     ///
     /// Panics if `capacity` is zero or `service` is zero.
     pub fn new(clock: ClockModel, capacity: usize, service: des::time::SimDuration) -> Self {
-        EventRecorder::with_sink(clock, capacity, service, Vec::new())
-    }
-}
-
-impl<S: RecordSink> EventRecorder<S> {
-    /// Creates a recorder draining to `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `service` is zero.
-    pub fn with_sink(
-        clock: ClockModel,
-        capacity: usize,
-        service: des::time::SimDuration,
-        sink: S,
-    ) -> Self {
         assert!(capacity > 0, "FIFO capacity must be nonzero");
         assert!(!service.is_zero(), "drain service time must be nonzero");
         EventRecorder {
             clock,
             capacity,
             service,
-            fifo: VecDeque::with_capacity(capacity.min(FIFO_SLAB)),
+            fifo: VecDeque::new(),
             last_departure: SimTime::ZERO,
-            stored: sink,
+            stored: Vec::new(),
             stats: RecorderStats::default(),
         }
     }
@@ -283,7 +140,7 @@ impl<S: RecordSink> EventRecorder<S> {
         while let Some(&(_, dep)) = self.fifo.front() {
             if dep <= now {
                 let (rec, _) = self.fifo.pop_front().expect("checked front");
-                self.stored.accept(rec);
+                self.stored.push(rec);
             } else {
                 break;
             }
@@ -291,10 +148,10 @@ impl<S: RecordSink> EventRecorder<S> {
     }
 
     /// Ends the measurement: drains the remaining FIFO contents to disk
-    /// and returns the sink plus statistics.
-    pub fn finish(mut self) -> (S, RecorderStats) {
+    /// and returns the stored records plus statistics.
+    pub fn finish(mut self) -> (Vec<StoredRecord>, RecorderStats) {
         while let Some((rec, _)) = self.fifo.pop_front() {
-            self.stored.accept(rec);
+            self.stored.push(rec);
         }
         (self.stored, self.stats)
     }
@@ -387,56 +244,6 @@ mod tests {
         // 5030 + 1000 offset = 6030 -> quantized 6000.
         assert_eq!(stored[0].local_ts, 6_000);
         assert_eq!(stored[0].true_time, SimTime::from_nanos(5_030));
-    }
-
-    #[test]
-    fn digest_sink_matches_vec_sink() {
-        // Same stream through both sinks: the digest sink must see
-        // exactly the records the vec sink retains, in the same order.
-        let feed = |rec: &mut EventRecorder<DigestSink>| {
-            for i in 0..500u64 {
-                rec.record(ev(1_000 + i * 50_000, i as u16));
-            }
-        };
-        let mut digesting = EventRecorder::with_sink(
-            sync_clock(),
-            64,
-            SimDuration::from_micros(100),
-            DigestSink::new(),
-        );
-        feed(&mut digesting);
-        let (sink, dstats) = digesting.finish();
-
-        let mut retaining = EventRecorder::new(sync_clock(), 64, SimDuration::from_micros(100));
-        for i in 0..500u64 {
-            retaining.record(ev(1_000 + i * 50_000, i as u16));
-        }
-        let (stored, vstats) = retaining.finish();
-        assert_eq!(dstats, vstats);
-        assert_eq!(sink.records(), stored.len() as u64);
-
-        let mut expected = DigestSink::new();
-        for r in stored {
-            expected.accept(r);
-        }
-        assert_eq!(sink.digest(), expected.digest());
-    }
-
-    #[test]
-    fn display_impls_render_without_panicking() {
-        let r = StoredRecord {
-            local_ts: 1_200,
-            channel: 3,
-            event: MonEvent::new(0x42, 7),
-            true_time: SimTime::from_nanos(1_234),
-        };
-        assert_eq!(r.to_string(), "1200 ch3 token=0x0042 param=0x00000007");
-        let s = RecorderStats {
-            recorded: 10,
-            lost: 2,
-            max_fifo_occupancy: 4,
-        };
-        assert_eq!(s.to_string(), "recorded=10 lost=2 max_fifo=4");
     }
 
     proptest! {
