@@ -83,7 +83,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The flow model's parameters, all in bundle units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowModel {
     /// Total window credits: servants × window.
     pub credits: u32,

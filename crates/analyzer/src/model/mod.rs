@@ -25,6 +25,7 @@ pub mod flow;
 pub mod sched;
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -87,6 +88,27 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// A process-wide verdict cache: one per memoized analysis.
+pub(crate) type Memo<K, V> = OnceLock<Mutex<HashMap<K, V>>>;
+
+/// The value `memo` holds for `key`, computed by `compute` and stored on
+/// the first call. The lock is released while computing, so two threads
+/// that miss on one key both compute it — the same value, since every
+/// memoized analysis is a pure function of its key.
+pub(crate) fn memoized<K: Eq + Hash, V: Clone>(
+    memo: &Memo<K, V>,
+    key: K,
+    compute: impl FnOnce(&K) -> V,
+) -> V {
+    let memo = memo.get_or_init(|| Mutex::new(HashMap::new()));
+    if let Some(v) = lock_unpoisoned(memo).get(&key) {
+        return v.clone();
+    }
+    let v = compute(&key);
+    lock_unpoisoned(memo).insert(key, v.clone());
+    v
+}
+
 /// Largest image (pixels) the exact model is attempted on; beyond this
 /// the segment state space is left to the flow abstraction.
 const EXACT_MAX_PIXELS: u32 = 64;
@@ -114,21 +136,21 @@ pub fn proven_orders(app: &AppConfig) -> Vec<ProvenOrder> {
 /// verdict depends only on `(master_agents, servant_agents, preemptive,
 /// budget)`.
 pub fn check_sched(model: SchedModel, max_states: usize) -> SchedVerdict {
-    type ShapeKey = (bool, bool, bool, usize);
-    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, SchedVerdict>>> = OnceLock::new();
-    let key = (
-        model.master_agents,
-        model.servant_agents,
-        model.preemptive,
-        max_states,
-    );
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(v) = lock_unpoisoned(cache).get(&key) {
-        return v.clone();
-    }
-    let v = model.explore(max_states);
-    lock_unpoisoned(cache).insert(key, v.clone());
-    v
+    static MEMO: Memo<(SchedModel, usize), SchedVerdict> = OnceLock::new();
+    memoized(&MEMO, (model, max_states), |(model, max_states)| {
+        model.explore(*max_states)
+    })
+}
+
+/// Explores the flow model, memoizing by shape: the verdict depends only
+/// on the model's bundle-unit parameters and the budget, and versions
+/// differing only in the scene or the agents (V1 and V2) share a shape.
+/// Returns exactly what [`FlowModel::explore`] returns.
+pub fn check_flow(model: FlowModel, max_states: usize) -> FlowVerdict {
+    static MEMO: Memo<(FlowModel, usize), FlowVerdict> = OnceLock::new();
+    memoized(&MEMO, (model, max_states), |(model, max_states)| {
+        model.explore(*max_states)
+    })
 }
 
 /// Wall time spent in each model-checking phase of [`check_app_timed`],
@@ -197,7 +219,7 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
     );
     match flow.counters_fit() {
         Ok(()) => {
-            let fv = flow.explore(budget.flow_states);
+            let fv = check_flow(flow, budget.flow_states);
             if fv.bounded {
                 bounded_layers.push(flow_left_open(
                     format!(
@@ -636,6 +658,27 @@ mod tests {
             check_preemptive_variant(&AppConfig::version(Version::V4), &ModelBudget::full());
         let path = verdict.sync2_violation.expect("preemption breaks SYNC-2");
         testutil::assert_sync2_witness(&path);
+    }
+
+    #[test]
+    fn memoized_flow_verdicts_are_the_explorations() {
+        // A budget no other test uses, so V1's first call misses; V2
+        // shares V1's shape and reads its verdict.
+        let budget = 60_000;
+        for v in Version::ALL {
+            let app = AppConfig::version(v);
+            let flow = FlowModel::from_protocol(
+                u32::from(app.servants),
+                app.window,
+                app.bundle_size,
+                app.pixel_queue_capacity,
+                app.write_chunk,
+                app.eager_writeback,
+            );
+            let explored = flow.explore(budget);
+            assert_eq!(check_flow(flow, budget), explored, "{v}: first call");
+            assert_eq!(check_flow(flow, budget), explored, "{v}: repeated call");
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ struct State {
 
 /// The bounded scope: which communication agents exist and whether the
 /// node scheduler may preempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SchedModel {
     /// The master delegates job sends to an agent on its node.
     pub master_agents: bool,

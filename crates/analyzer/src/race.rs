@@ -48,14 +48,14 @@
 //! vector-clock happens-before engine ([`hb_crosscheck`]).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use raysim::config::AppConfig;
 use simple::{Event, Trace};
 
-use crate::diag::{Diagnostic, Report};
+use crate::diag::{Diagnostic, Finding, Report};
 use crate::hb::analyze_trace;
-use crate::model::{ModelBudget, OrderScope, ProvenOrder};
+use crate::model::{memoized, Memo, ModelBudget, OrderScope, ProvenOrder};
 
 /// A message: job or result, with an id and the sending process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1163,38 +1163,29 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
 }
 
 /// Race-checks a program version's communication shape under the given
-/// scheduler. The report is memoized by shape — its findings depend only
-/// on the agent layout, the toggle, and the budget — and a memoized
-/// report is retitled with `app`'s own version.
+/// scheduler. The findings are memoized by shape — they depend only on
+/// the agent layout, the toggle, and the budget — and every report is
+/// titled with `app`'s own version.
 pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> Report {
     type ShapeKey = (bool, bool, bool, usize);
-    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, Report>>> = OnceLock::new();
+    static MEMO: Memo<ShapeKey, Vec<Finding>> = OnceLock::new();
+    let scheduler = if preemptive {
+        "preemptive"
+    } else {
+        "non-preemptive round-robin"
+    };
+    let subject = format!("{} message races ({scheduler} scheduler)", app.version);
     let key = (
         app.version.master_agents(),
         app.version.servant_agents(),
         preemptive,
         budget.race_states,
     );
-    let title = || {
-        let scheduler = if preemptive {
-            "preemptive"
-        } else {
-            "non-preemptive round-robin"
-        };
-        format!("{} message races ({scheduler} scheduler)", app.version)
-    };
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(r) = crate::model::lock_unpoisoned(cache).get(&key) {
-        return Report {
-            subject: title(),
-            findings: r.findings.clone(),
-        };
-    }
-    let model = RaceModel::version_shape(key.0, key.1, preemptive);
-    let subject = title();
-    let report = check_race_model(&model, budget.race_states, &subject);
-    crate::model::lock_unpoisoned(cache).insert(key, report.clone());
-    report
+    let findings = memoized(&MEMO, key, |&(master, servant, preemptive, states)| {
+        let model = RaceModel::version_shape(master, servant, preemptive);
+        check_race_model(&model, states, &subject).findings
+    });
+    Report { subject, findings }
 }
 
 #[cfg(test)]

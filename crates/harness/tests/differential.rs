@@ -65,6 +65,19 @@ fn jacobi_digests_match_the_committed_goldens() {
         .unwrap_or_else(|errors| panic!("jacobi sweep digests drifted:\n{}", errors.join("\n")));
 }
 
+/// The scheduler sweep — four node-scheduler policies over V1–V4 and
+/// the mailbox version, plus the probe-fault rows — pinned to committed
+/// goldens, so a drift in any policy or in the fault model fails here.
+#[test]
+fn sched_digests_match_the_committed_goldens() {
+    let sweep = sweeps::by_name("sched", Scale::Quick, 1992).unwrap();
+    let report = run_sweep(&sweep, 2);
+    assert_eq!(report.exit_code(), 0);
+    report
+        .check_digests(include_str!("golden/sched_digests.txt"))
+        .unwrap_or_else(|errors| panic!("sched sweep digests drifted:\n{}", errors.join("\n")));
+}
+
 /// The scaling sweep — 16/32/64-node ladders spanning one to four
 /// clusters — is the differential oracle for the parallel per-cluster
 /// engine: the committed goldens were recorded sequentially

@@ -73,23 +73,65 @@ impl FaultConfig {
     /// write is dropped, otherwise the (possibly corrupted and
     /// clock-shifted) sample. Pure per sample — the verdict depends
     /// only on the sample's identity and the fault seed.
+    ///
+    /// Works out the sample's per-channel state on every call;
+    /// [`observe`](crate::observe) works it out once per channel.
     pub fn apply(&self, sample: ProbeSample) -> Option<ProbeSample> {
         if self.is_noop() {
             return Some(sample);
         }
+        self.channel(sample.channel).apply(sample)
+    }
+
+    /// The fault model's state for one channel: the FNV-1a hash of
+    /// `(seed, channel)` that every sample's verdict continues, and the
+    /// channel's clock-drift rate.
+    pub(crate) fn channel(&self, channel: usize) -> ChannelFaults {
+        let mut verdict = Fnv64::new();
+        verdict.write_u64(self.seed);
+        verdict.write_u64(channel as u64);
+        // Channel `c` reads `t × (1 + f(c) × ppm / 1e6)` where
+        // `f(c) ∈ [-1, 1]` is a pure hash of the channel and the seed.
         let mut h = Fnv64::new();
-        h.write_u64(self.seed);
-        h.write_u64(sample.channel as u64);
+        h.write_u64(self.seed ^ 0x5eed_c10c);
+        h.write_u64(channel as u64);
+        let span = i64::from(self.clock_drift_ppm) * 2 + 1;
+        let drift_rate = (h.finish() % span as u64) as i64 - i64::from(self.clock_drift_ppm);
+        ChannelFaults {
+            faults: *self,
+            verdict,
+            drift_rate,
+        }
+    }
+}
+
+/// One channel's share of a [`FaultConfig`], built once per channel by
+/// [`FaultConfig::channel`] so the per-sample path hashes only the
+/// sample's time and pattern.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChannelFaults {
+    faults: FaultConfig,
+    /// FNV-1a state after the seed and the channel.
+    verdict: Fnv64,
+    /// Signed clock-drift rate in ppm, in `[-clock_drift_ppm,
+    /// +clock_drift_ppm]`.
+    drift_rate: i64,
+}
+
+impl ChannelFaults {
+    /// [`FaultConfig::apply`] for a sample on this channel.
+    pub(crate) fn apply(&self, sample: ProbeSample) -> Option<ProbeSample> {
+        let mut h = self.verdict;
         h.write_u64(sample.time.as_nanos());
         h.write_u64(u64::from(sample.pattern.index()));
         let verdict = h.finish();
 
-        if verdict % 1000 < u64::from(self.probe_drop_permille) {
+        if verdict % 1000 < u64::from(self.faults.probe_drop_permille) {
             return None;
         }
 
         let mut out = sample;
-        if (verdict >> 16) % 1000 < u64::from(self.probe_corrupt_permille) {
+        if (verdict >> 16) % 1000 < u64::from(self.faults.probe_corrupt_permille) {
             // A nonzero 4-bit XOR mask: the corrupted word is always a
             // *different* valid pattern (possibly the trigger word —
             // exactly the failure a real flaky probe line produces).
@@ -97,26 +139,25 @@ impl FaultConfig {
             out.pattern = Pattern::new(sample.pattern.index() ^ mask)
                 .expect("xor of two 4-bit pattern indices is a 4-bit pattern index");
         }
-        if self.clock_drift_ppm > 0 {
-            out.time = des::time::SimTime::from_nanos(
-                self.drifted_nanos(out.channel, out.time.as_nanos()),
-            );
+        if self.faults.clock_drift_ppm > 0 {
+            out.time = des::time::SimTime::from_nanos(self.drifted_nanos(out.time.as_nanos()));
         }
         Some(out)
     }
 
-    /// The per-channel drifted clock: channel `c` reads
-    /// `t × (1 + f(c) × ppm / 1e6)` where `f(c) ∈ [-1, 1]` is a pure
-    /// hash of the channel and the seed. Linear with positive slope, so
-    /// each channel's samples stay in feed order.
-    fn drifted_nanos(&self, channel: usize, nanos: u64) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u64(self.seed ^ 0x5eed_c10c);
-        h.write_u64(channel as u64);
-        // Signed per-channel rate in [-ppm, +ppm].
-        let span = i64::from(self.clock_drift_ppm) * 2 + 1;
-        let rate = (h.finish() % span as u64) as i64 - i64::from(self.clock_drift_ppm);
-        let shift = (nanos as i128 * i128::from(rate) / 1_000_000) as i64;
+    /// The drifted clock reading: linear in `nanos` with positive slope,
+    /// so the channel's samples stay in feed order. The shift rounds
+    /// toward zero; it is computed in `i64` whenever `nanos × rate`
+    /// fits, which is every time below about 5 hours at the largest
+    /// drift, and in `i128` otherwise.
+    fn drifted_nanos(&self, nanos: u64) -> u64 {
+        let shift = match i64::try_from(nanos)
+            .ok()
+            .and_then(|n| n.checked_mul(self.drift_rate))
+        {
+            Some(product) => product / 1_000_000,
+            None => (i128::from(nanos) * i128::from(self.drift_rate) / 1_000_000) as i64,
+        };
         nanos.saturating_add_signed(shift)
     }
 }
@@ -125,6 +166,82 @@ impl FaultConfig {
 mod tests {
     use super::*;
     use des::time::SimTime;
+    use proptest::prelude::*;
+
+    /// The fault model as first written, every hash recomputed per
+    /// sample: the oracle [`FaultConfig::apply`] must equal.
+    fn apply_reference(f: &FaultConfig, sample: ProbeSample) -> Option<ProbeSample> {
+        if f.is_noop() {
+            return Some(sample);
+        }
+        let mut h = Fnv64::new();
+        h.write_u64(f.seed);
+        h.write_u64(sample.channel as u64);
+        h.write_u64(sample.time.as_nanos());
+        h.write_u64(u64::from(sample.pattern.index()));
+        let verdict = h.finish();
+        if verdict % 1000 < u64::from(f.probe_drop_permille) {
+            return None;
+        }
+        let mut out = sample;
+        if (verdict >> 16) % 1000 < u64::from(f.probe_corrupt_permille) {
+            let mask = ((verdict >> 32) % 15 + 1) as u8;
+            out.pattern = Pattern::new(sample.pattern.index() ^ mask).unwrap();
+        }
+        if f.clock_drift_ppm > 0 {
+            let mut h = Fnv64::new();
+            h.write_u64(f.seed ^ 0x5eed_c10c);
+            h.write_u64(out.channel as u64);
+            let span = i64::from(f.clock_drift_ppm) * 2 + 1;
+            let rate = (h.finish() % span as u64) as i64 - i64::from(f.clock_drift_ppm);
+            let nanos = out.time.as_nanos();
+            let shift = (nanos as i128 * i128::from(rate) / 1_000_000) as i64;
+            out.time = SimTime::from_nanos(nanos.saturating_add_signed(shift));
+        }
+        Some(out)
+    }
+
+    /// A per-mille rate, at either bound one time in four each.
+    fn permille() -> impl Strategy<Value = u16> {
+        (0u16..=1000, 0u8..4).prop_map(|(rate, edge)| match edge {
+            0 => 0,
+            1 => 1000,
+            _ => rate,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The per-channel state changes nothing: every pattern at any
+        /// time (above `i64::MAX` too) on channels 0..=300 meets the
+        /// fate the per-sample formula gives it.
+        #[test]
+        fn per_channel_state_matches_the_per_sample_formula(
+            seed in any::<u64>(),
+            channel in 0usize..=300,
+            time in (any::<u64>(), 0u32..64).prop_map(|(t, shift)| t >> shift),
+            drop in permille(),
+            corrupt in permille(),
+            drift in (0u32..500_000, 0u8..4).prop_map(|(ppm, edge)| match edge {
+                0 => 0,
+                1 => 499_999,
+                _ => ppm,
+            }),
+        ) {
+            let f = FaultConfig {
+                probe_drop_permille: drop,
+                probe_corrupt_permille: corrupt,
+                clock_drift_ppm: drift,
+                seed,
+            };
+            prop_assert!(f.validate().is_ok());
+            for pattern in 0..16 {
+                let s = sample(channel, time, pattern);
+                prop_assert_eq!(f.apply(s), apply_reference(&f, s));
+            }
+        }
+    }
 
     fn sample(channel: usize, nanos: u64, pattern: u8) -> ProbeSample {
         ProbeSample {

@@ -491,9 +491,10 @@ pub fn try_run_workload<W: Workload>(
 /// whole and uninterleaved — the kernel serializes each node's display
 /// — so each emission is exactly one detected event, and the events go
 /// straight to the recorders ([`zm4::Zm4::observe_decoded`]). With
-/// faults, each emission's writes stream through the fault model into
-/// the pattern-level detectors ([`zm4::Zm4::observe_iter`]), which then
-/// see the drops, corruptions and clock drift.
+/// faults, each emission's writes stream through the fault model — each
+/// channel's share of it worked out once — into the pattern-level
+/// detectors ([`zm4::Zm4::observe_iter`]), which then see the drops,
+/// corruptions and clock drift.
 ///
 /// Debug builds also run the pattern-level path over the time-sorted
 /// signal log on fault-free runs and assert that both measurements are
@@ -502,8 +503,14 @@ pub fn try_run_workload<W: Workload>(
 /// oracle.
 pub fn observe(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
     if !faults.is_noop() {
-        return monitor
-            .observe_iter(trace::emission_samples(emissions).filter_map(|s| faults.apply(s)));
+        let channels: Vec<_> = (0..monitor.channels()).map(|c| faults.channel(c)).collect();
+        return monitor.observe_iter(trace::emission_samples(emissions).filter_map(|s| {
+            match channels.get(s.channel) {
+                Some(channel) => channel.apply(s),
+                // An unwired channel: the monitor refuses the sample.
+                None => faults.apply(s),
+            }
+        }));
     }
     let measurement = monitor.observe_decoded(trace::decoded_events(
         emissions,

@@ -11,7 +11,7 @@
 //! | V4 | agents | agents | 100 rays | fixed (large) |
 
 use des::time::SimDuration;
-use raytracer::{CostModel, TraceConfig};
+use raytracer::{scenes, CostModel, TraceConfig};
 
 /// The program version under measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,7 +63,7 @@ impl std::fmt::Display for Version {
 }
 
 /// Which scene the application renders.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SceneKind {
     /// A 4-primitive scene for fast tests.
     Quickstart,
@@ -219,7 +219,8 @@ impl AppConfig {
     }
 
     /// Checks internal consistency, including that a described scene
-    /// parses.
+    /// parses and a fractal pyramid is no deeper than
+    /// [`scenes::MAX_FRACTAL_DEPTH`].
     ///
     /// # Errors
     ///
@@ -246,8 +247,17 @@ impl AppConfig {
         if self.write_chunk == 0 {
             return Err("write chunk must be nonzero".into());
         }
-        if let SceneKind::Described(text) = &self.scene {
-            raytracer::sdl::parse(text).map_err(|e| e.to_string())?;
+        match &self.scene {
+            SceneKind::FractalPyramid(depth) if *depth > scenes::MAX_FRACTAL_DEPTH => {
+                return Err(format!(
+                    "fractal pyramid depth {depth} exceeds the limit of {}",
+                    scenes::MAX_FRACTAL_DEPTH
+                ));
+            }
+            SceneKind::Described(text) => {
+                raytracer::sdl::parse(text).map_err(|e| e.to_string())?;
+            }
+            _ => {}
         }
         Ok(())
     }

@@ -202,6 +202,19 @@ mod tests {
     }
 
     #[test]
+    fn too_deep_a_fractal_fails_validation_not_the_launch() {
+        let mut cfg = PipelineConfig::new(tiny_app(Version::V4));
+        cfg.workload.scene = SceneKind::FractalPyramid(raytracer::scenes::MAX_FRACTAL_DEPTH + 1);
+        let Err(PipelineError::Invalid(msg)) = try_run_workload(cfg) else {
+            panic!("a fractal deeper than the limit must fail validation");
+        };
+        assert!(
+            msg.contains("depth 7") && msg.contains("limit of 6"),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn declared_orders_follow_instrumentation() {
         assert_eq!(proven_orders(&tiny_app(Version::V1)).len(), 2);
         let v4 = proven_orders(&tiny_app(Version::V4));

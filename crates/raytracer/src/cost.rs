@@ -18,7 +18,7 @@ use des::time::SimDuration;
 use crate::work::WorkCounters;
 
 /// Prices for elementary tracing operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CostModel {
     /// Fixed per-ray overhead (setup, normalization, loop control).
     pub per_ray: SimDuration,

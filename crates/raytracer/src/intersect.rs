@@ -21,7 +21,7 @@ use crate::work::WorkCounters;
 pub const VECTOR_WIDTH: usize = 4;
 
 /// Which acceleration structure to traverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Accel {
     /// Test every primitive (the paper's implemented tracer).
     #[default]
@@ -31,7 +31,7 @@ pub enum Accel {
 }
 
 /// Scalar FPU or batched vector-unit intersection tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VectorMode {
     /// One test at a time on the MC68882.
     #[default]

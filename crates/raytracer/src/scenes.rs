@@ -151,6 +151,10 @@ pub fn whitted_scene() -> (Scene, Camera) {
     (scene, camera)
 }
 
+/// The deepest [`fractal_pyramid`] that is built: depth 6 already holds
+/// 16 385 primitives, and each level quadruples the count.
+pub const MAX_FRACTAL_DEPTH: u32 = 6;
+
 /// The complex scene: a Sierpinski-style fractal pyramid of `4^depth`
 /// tetrahedra (4 triangles each) above a reflective floor.
 ///
@@ -159,10 +163,10 @@ pub fn whitted_scene() -> (Scene, Camera) {
 ///
 /// # Panics
 ///
-/// Panics if `depth > 6` (primitive count would explode).
+/// Panics if `depth > MAX_FRACTAL_DEPTH` (primitive count would explode).
 pub fn fractal_pyramid(depth: u32) -> (Scene, Camera) {
     assert!(
-        depth <= 6,
+        depth <= MAX_FRACTAL_DEPTH,
         "fractal depth {depth} would generate too many primitives"
     );
     let mut scene = Scene::new(Color::new(0.15, 0.2, 0.35));

@@ -15,7 +15,7 @@ use crate::scene::Scene;
 use crate::work::WorkCounters;
 
 /// Tracer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceConfig {
     /// Maximum recursion depth for reflection/refraction.
     pub max_depth: u32,
