@@ -4,16 +4,17 @@
 //! perfect; the scheduling-fuzz studies need the opposite assumption —
 //! probes that drop writes, corrupt patterns, and recorders whose
 //! clocks drift. [`FaultConfig`] injects exactly those failures into
-//! the probe-sample stream *between* the machine's display emissions
-//! and the ZM4, so the simulated machine itself stays untouched and
-//! bit-identical.
+//! each display write *between* the machine's display emissions and
+//! the ZM4 detectors, so the simulated machine itself stays untouched
+//! and bit-identical.
 //!
-//! Every decision is a pure function of the sample and the fault seed
+//! Every decision is a pure function of the write and the fault seed
 //! (an FNV-1a hash of `(channel, time, pattern, seed)`), never of
 //! iteration order — so faulted measurements are reproducible per seed,
 //! identical across engine-shard counts, and the same whether the
-//! samples stream from the emissions or from the time-sorted signal
-//! log, exactly like the un-faulted pipeline.
+//! writes arrive one emission's burst at a time
+//! ([`observe`](crate::observe)) or as the time-sorted signal log,
+//! exactly like the un-faulted pipeline.
 
 use des::digest::Fnv64;
 use hybridmon::Pattern;
@@ -106,8 +107,8 @@ impl FaultConfig {
 }
 
 /// One channel's share of a [`FaultConfig`], built once per channel by
-/// [`FaultConfig::channel`] so the per-sample path hashes only the
-/// sample's time and pattern.
+/// [`FaultConfig::channel`] so each write hashes only its time and
+/// pattern.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelFaults {
     faults: FaultConfig,

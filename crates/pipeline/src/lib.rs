@@ -43,10 +43,11 @@
 //! ```
 
 use des::time::SimTime;
+use hybridmon::encode::encode;
 use hybridmon::IntrusionReport;
 use simple::Trace;
 use suprenum::{EmissionRecord, Machine, MachineConfig, RunEnd, RunOutcome, SignalLog};
-use zm4::{Measurement, Zm4, Zm4Config};
+use zm4::{Measurement, ProbeSample, Zm4, Zm4Config};
 
 pub mod fault;
 pub mod jacobi;
@@ -463,6 +464,11 @@ pub fn try_run_workload<W: Workload>(
 
     let harvest = cfg.workload.launch(&mut machine);
     let channels = cfg.workload.channels(&machine);
+    if channels == 0 {
+        return Err(PipelineError::Invalid(
+            "the workload monitors 0 channels; the monitor needs at least one".into(),
+        ));
+    }
     let monitor = cfg.zm4.build(channels, cfg.seed);
 
     let outcome = machine.run(cfg.horizon);
@@ -486,50 +492,86 @@ pub fn try_run_workload<W: Workload>(
 
 /// The ZM4 measurement of a run's display emissions (see
 /// [`Machine::emissions`]) as seen through the probe-plane `faults`.
+/// Emissions of nodes the monitor has no channel for are not observed:
+/// no probe is clipped onto their displays.
 ///
 /// A fault-free probe plane delivers every emission's 32 pattern writes
 /// whole and uninterleaved — the kernel serializes each node's display
 /// — so each emission is exactly one detected event, and the events go
 /// straight to the recorders ([`zm4::Zm4::observe_decoded`]). With
-/// faults, each emission's writes stream through the fault model — each
-/// channel's share of it worked out once — into the pattern-level
-/// detectors ([`zm4::Zm4::observe_iter`]), which then see the drops,
-/// corruptions and clock drift.
+/// faults, each emission reaches its channel's probe as one burst
+/// ([`zm4::Zm4::probes`]): its writes pass the channel's fault model one
+/// by one, and the survivors feed the pattern-level detector, which
+/// then sees the drops, corruptions and clock drift.
 ///
-/// Debug builds also run the pattern-level path over the time-sorted
-/// signal log on fault-free runs and assert that both measurements are
-/// identical, so every test that runs a workload checks the direct
-/// decoding — and the display serialization it rests on — against its
-/// oracle.
+/// Debug builds also run the pattern-level monitor over the time-sorted
+/// signal log, each sample through [`FaultConfig::apply`], and assert
+/// that both measurements are identical. So every test that runs a
+/// workload checks the direct decoding (and the display serialization
+/// it rests on) or the burst path against that oracle.
 pub fn observe(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
-    if !faults.is_noop() {
-        let channels: Vec<_> = (0..monitor.channels()).map(|c| faults.channel(c)).collect();
-        return monitor.observe_iter(trace::emission_samples(emissions).filter_map(|s| {
-            match channels.get(s.channel) {
-                Some(channel) => channel.apply(s),
-                // An unwired channel: the monitor refuses the sample.
-                None => faults.apply(s),
-            }
-        }));
-    }
-    let measurement = monitor.observe_decoded(trace::decoded_events(
-        emissions,
-        monitor.config().detector_latency,
-    ));
+    let wired = monitor.channels();
+    let measurement = if faults.is_noop() {
+        monitor.observe_decoded(
+            trace::decoded_events(emissions, monitor.config().detector_latency)
+                .filter(|e| e.channel < wired),
+        )
+    } else {
+        observe_bursts(monitor, emissions, faults)
+    };
     if cfg!(debug_assertions) {
-        let log = SignalLog::from_streams(emissions.iter().flat_map(EmissionRecord::writes), []);
+        let log = SignalLog::from_streams(
+            emissions
+                .iter()
+                .filter(|rec| (rec.node.index() as usize) < wired)
+                .flat_map(EmissionRecord::writes),
+            [],
+        );
         let oracle = monitor.observe_iter(
             log.display_writes()
                 .iter()
                 .copied()
-                .map(trace::probe_sample),
+                .map(trace::probe_sample)
+                .filter_map(|s| faults.apply(s)),
         );
         assert!(
             measurement == oracle,
-            "direct decoding diverged from the pattern-level monitor"
+            "{} diverged from the pattern-level monitor",
+            if faults.is_noop() {
+                "direct decoding"
+            } else {
+                "burst observation"
+            }
         );
     }
     measurement
+}
+
+/// The faulted branch of [`observe`]: one probe lookup per emission,
+/// then its 32 writes (as [`EmissionRecord::writes`] expands them)
+/// through the channel's fault model into the channel's detector.
+fn observe_bursts(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
+    let by_channel: Vec<_> = (0..monitor.channels()).map(|c| faults.channel(c)).collect();
+    let mut probes = monitor.probes();
+    for rec in emissions {
+        let channel = rec.node.index() as usize;
+        let Some(mut probe) = probes.channel(channel) else {
+            continue;
+        };
+        let channel_faults = &by_channel[channel];
+        let mut time = rec.start;
+        for pattern in encode(rec.event()) {
+            time += rec.spacing;
+            if let Some(sample) = channel_faults.apply(ProbeSample {
+                time,
+                channel,
+                pattern,
+            }) {
+                probe.feed(sample);
+            }
+        }
+    }
+    probes.finish()
 }
 
 /// Runs one full measurement.
@@ -779,6 +821,98 @@ mod tests {
         out_of_range.faults.probe_drop_permille = 2_000;
         let err = try_run_workload(out_of_range).unwrap_err();
         assert!(err.to_string().contains("fault"));
+    }
+
+    /// Jacobi with probes clipped onto its first `channels` nodes only.
+    #[derive(Debug, Clone)]
+    struct Subset {
+        jacobi: jacobi::JacobiConfig,
+        channels: usize,
+    }
+
+    impl Workload for Subset {
+        type Output = <jacobi::JacobiConfig as Workload>::Output;
+
+        fn id(&self) -> &'static str {
+            "jacobi-subset"
+        }
+
+        fn validate(&self) -> Result<(), String> {
+            self.jacobi.validate()
+        }
+
+        fn nodes_required(&self) -> u32 {
+            self.jacobi.nodes_required()
+        }
+
+        fn channels(&self, _machine: &Machine) -> usize {
+            self.channels
+        }
+
+        fn token_map(&self) -> Vec<TokenDecl> {
+            self.jacobi.token_map()
+        }
+
+        fn launch(&self, machine: &mut Machine) -> Harvest<Self::Output> {
+            self.jacobi.launch(machine)
+        }
+    }
+
+    #[test]
+    fn a_monitor_on_a_subset_of_nodes_sees_only_those_nodes() {
+        let jacobi = jacobi::JacobiConfig {
+            workers: 3,
+            iterations: 4,
+            ..jacobi::JacobiConfig::default()
+        };
+        let faults = FaultConfig {
+            probe_drop_permille: 20,
+            probe_corrupt_permille: 20,
+            clock_drift_ppm: 1_000,
+            seed: 3,
+        };
+        for faults in [FaultConfig::default(), faults] {
+            let mut all = PipelineConfig::new(jacobi.clone());
+            all.faults = faults;
+            let all = run_workload(all);
+            assert_eq!(all.machine.topology().total_nodes(), 4);
+            let mut cfg = PipelineConfig::new(Subset {
+                jacobi: jacobi.clone(),
+                channels: 2,
+            });
+            cfg.faults = faults;
+            let subset = run_workload(cfg);
+            assert!(subset.completed());
+            assert_eq!(subset.measurement.detector_stats.len(), 2);
+            // Both channels share one recorder either way, so the
+            // subset measures exactly the full wiring's first two
+            // channels.
+            let wired: Vec<_> = all
+                .measurement
+                .trace
+                .iter()
+                .filter(|r| r.channel < 2)
+                .copied()
+                .collect();
+            assert!(!wired.is_empty());
+            assert!(wired.len() < all.measurement.trace.len());
+            assert_eq!(subset.measurement.trace, wired, "{faults:?}");
+            assert_eq!(
+                subset.measurement.detector_stats,
+                all.measurement.detector_stats[..2],
+                "{faults:?}"
+            );
+        }
+
+        let cfg = PipelineConfig::new(Subset {
+            jacobi,
+            channels: 0,
+        });
+        match try_run_workload(cfg) {
+            Err(PipelineError::Invalid(msg)) => assert!(msg.contains("0 channels"), "{msg}"),
+            Err(e) => panic!("expected Invalid, got {e}"),
+            Ok(_) => panic!("a monitor without channels was not refused"),
+        }
     }
 
     fn clean_fingerprint(cfg: &PipelineConfig<jacobi::JacobiConfig>) -> u64 {

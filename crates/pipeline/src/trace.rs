@@ -3,8 +3,8 @@
 //! These conversions are the glue the pipeline owns: every workload's
 //! seven-segment display emissions become ZM4 input (channel = node
 //! index) — either as the events a fault-free detector assembles from
-//! them, or as the probe samples of their pattern writes — and every ZM4
-//! measurement's merged trace becomes SIMPLE events ready for
+//! them, or as the probe samples of a machine's signal log — and every
+//! ZM4 measurement's merged trace becomes SIMPLE events ready for
 //! evaluation.
 
 use des::time::SimDuration;
@@ -33,18 +33,6 @@ pub fn decoded_events(
     })
 }
 
-/// Streams the pattern writes of display emissions as ZM4 probe
-/// samples, one emission after another, without building the signal
-/// log (channel = node index). Channels interleave out of time order,
-/// but each channel's samples are time-sorted — the precondition of
-/// [`zm4::Zm4::observe_iter`].
-pub fn emission_samples(emissions: &[EmissionRecord]) -> impl Iterator<Item = ProbeSample> + '_ {
-    emissions
-        .iter()
-        .flat_map(EmissionRecord::writes)
-        .map(probe_sample)
-}
-
 /// The ZM4 probe sample of one display write (channel = node index).
 pub fn probe_sample(write: DisplayWrite) -> ProbeSample {
     ProbeSample {
@@ -58,7 +46,7 @@ pub fn probe_sample(write: DisplayWrite) -> ProbeSample {
 /// (channel = node index). The signal log is globally time-sorted,
 /// hence per-channel time-sorted — exactly the precondition of
 /// [`zm4::Zm4::observe_iter`]. Reading it expands the whole log; the
-/// pipeline itself streams [`emission_samples`] instead.
+/// pipeline itself observes the emissions ([`crate::observe`]).
 pub fn probe_sample_iter(machine: &Machine) -> impl Iterator<Item = ProbeSample> + '_ {
     machine
         .signals()

@@ -5,7 +5,9 @@
 //! the monitor configurations no golden reaches — recorders that lose
 //! events, free-running recorder clocks on one stream per recorder — and
 //! random multi-node emission streams shaped by the kernel's display
-//! serializer.
+//! serializer. On random streams the faulted path (each emission
+//! observed as one burst through the probe faults) is checked the same
+//! way, against the pattern-level ZM4 over the faulted signal log.
 
 use des::time::{SimDuration, SimTime};
 use pipeline::jacobi::JacobiConfig;
@@ -96,9 +98,14 @@ fn spacings() -> [SimDuration; 3] {
 /// an emission starts at the request time or when the node's previous
 /// emission has left the display, whichever is later. A zero gap
 /// selector issues the request at the same instant as the previous one.
-fn emission_stream(requests: &[(u16, u8, u64, usize)], nodes: u16) -> Vec<EmissionRecord> {
+/// The first request is issued at `origin`.
+fn emission_stream(
+    requests: &[(u16, u8, u64, usize)],
+    nodes: u16,
+    origin: SimTime,
+) -> Vec<EmissionRecord> {
     let spacings = spacings();
-    let mut now = SimTime::from_micros(1);
+    let mut now = origin;
     let mut free = vec![SimTime::ZERO; usize::from(nodes)];
     requests
         .iter()
@@ -122,6 +129,40 @@ fn emission_stream(requests: &[(u16, u8, u64, usize)], nodes: u16) -> Vec<Emissi
         .collect()
 }
 
+/// A monitor for `nodes` channels: `streams_per_recorder` channels a
+/// recorder, FIFOs of 2, 16 or 32 K records (`fifo_pick`), recorder
+/// clocks on the MTG or free running.
+fn monitor(
+    nodes: u16,
+    streams_per_recorder: usize,
+    fifo_pick: usize,
+    mtg_synchronized: bool,
+    seed: u64,
+) -> Zm4 {
+    let cfg = Zm4Config {
+        streams_per_recorder,
+        fifo_capacity: [2, 16, 32 * 1024][fifo_pick],
+        mtg_synchronized,
+        ..Zm4Config::default()
+    };
+    Zm4::new(cfg, usize::from(nodes), seed)
+}
+
+/// The pattern-level measurement of `records`: the time-sorted signal
+/// log's samples, each through `FaultConfig::apply`, into
+/// `Zm4::observe`.
+fn pattern_oracle(monitor: &Zm4, records: &[EmissionRecord], faults: FaultConfig) -> Measurement {
+    let log = SignalLog::from_streams(records.iter().flat_map(EmissionRecord::writes), []);
+    let samples: Vec<ProbeSample> = log
+        .display_writes()
+        .iter()
+        .copied()
+        .map(probe_sample)
+        .filter_map(|s| faults.apply(s))
+        .collect();
+    monitor.observe(&samples)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -141,18 +182,9 @@ proptest! {
         mtg_synchronized in any::<bool>(),
         seed in 0u64..1_000,
     ) {
-        let records = emission_stream(&requests, nodes);
-        let cfg = Zm4Config {
-            streams_per_recorder,
-            fifo_capacity: [2, 16, 32 * 1024][fifo_pick],
-            mtg_synchronized,
-            ..Zm4Config::default()
-        };
-        let monitor = Zm4::new(cfg, usize::from(nodes), seed);
-        let log = SignalLog::from_streams(records.iter().flat_map(EmissionRecord::writes), []);
-        let samples: Vec<ProbeSample> =
-            log.display_writes().iter().copied().map(probe_sample).collect();
-        let oracle = monitor.observe(&samples);
+        let records = emission_stream(&requests, nodes, SimTime::from_micros(1));
+        let monitor = monitor(nodes, streams_per_recorder, fifo_pick, mtg_synchronized, seed);
+        let oracle = pattern_oracle(&monitor, &records, FaultConfig::default());
         let direct = monitor.observe_decoded(decoded_events(
             &records,
             monitor.config().detector_latency,
@@ -161,4 +193,64 @@ proptest! {
         prop_assert_eq!(&direct, &oracle);
         prop_assert_eq!(&observe(&monitor, &records, FaultConfig::default()), &oracle);
     }
+
+    /// For any such stream and any probe faults, the faulted
+    /// measurement (each emission observed as one burst) equals the
+    /// pattern-level monitor over the time-sorted signal log with every
+    /// sample through `FaultConfig::apply`. Streams that start past the
+    /// five simulated hours where drifted clocks leave `i64` run the
+    /// drift's wide fallback.
+    #[test]
+    fn faulted_observation_matches_patterns_on_random_emission_streams(
+        nodes in 1u16..9,
+        requests in proptest::collection::vec(
+            (0u16..9, 0u8..3, 0u64..200_000, 0usize..3),
+            0..120,
+        ),
+        origin_pick in 0usize..3,
+        drop in permille(),
+        corrupt in permille(),
+        drift in (0u32..500_000, 0u8..4).prop_map(|(ppm, edge)| match edge {
+            0 => 0,
+            1 => 499_999,
+            _ => ppm,
+        }),
+        fault_seed in any::<u64>(),
+        streams_per_recorder in 1usize..=4,
+        fifo_pick in 0usize..3,
+        mtg_synchronized in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        let origin = [
+            SimTime::from_micros(1),
+            SimTime::from_secs(6 * 3_600),
+            SimTime::from_secs(1_000 * 3_600),
+        ][origin_pick];
+        let records = emission_stream(&requests, nodes, origin);
+        let faults = FaultConfig {
+            probe_drop_permille: drop,
+            probe_corrupt_permille: corrupt,
+            clock_drift_ppm: drift,
+            seed: fault_seed,
+        };
+        prop_assert!(faults.validate().is_ok());
+        let monitor = monitor(nodes, streams_per_recorder, fifo_pick, mtg_synchronized, seed);
+        let oracle = pattern_oracle(&monitor, &records, faults);
+        let bursts = observe(&monitor, &records, faults);
+        prop_assert_eq!(&bursts.trace, &oracle.trace);
+        prop_assert_eq!(&bursts.recorder_stats, &oracle.recorder_stats);
+        prop_assert_eq!(&bursts.detector_stats, &oracle.detector_stats);
+    }
+}
+
+/// A per-mille fault rate, one time in four each: none, every write, a
+/// rate of at most 30 ‰ (so that some of an emission's 32 writes all
+/// survive it and events still reach the recorders), or any rate.
+fn permille() -> impl Strategy<Value = u16> {
+    (0u16..=1000, 0u8..4).prop_map(|(rate, pick)| match pick {
+        0 => 0,
+        1 => 1000,
+        2 => rate % 31,
+        _ => rate,
+    })
 }

@@ -25,7 +25,9 @@
 //! already knows which events the detectors would assemble — a
 //! fault-free display whose pattern pairs never interleave —
 //! [`Zm4::observe_decoded`] skips the pattern stream and runs the same
-//! recorders and merge on those events directly.
+//! recorders and merge on those events directly. [`Zm4::probes`] opens
+//! the pattern-level front end itself, for a caller that feeds one
+//! channel's burst of writes at a time.
 //!
 //! # Examples
 //!
@@ -190,24 +192,30 @@ impl Zm4 {
     where
         I: IntoIterator<Item = ProbeSample>,
     {
-        let mut dpus = self.dpus();
-        let mut detectors: Vec<EventDetector> = (0..self.channels)
-            .map(|ch| EventDetector::new(ch, self.config.detector_latency))
-            .collect();
-
+        let mut probes = self.probes();
         for s in samples {
-            assert!(
-                s.channel < self.channels,
-                "sample for unwired channel {}",
-                s.channel
-            );
-            if let Some(event) = detectors[s.channel].feed(s) {
-                dpus[self.recorder_of(s.channel)].queue_event(event);
+            match probes.channel(s.channel) {
+                Some(mut probe) => probe.feed(s),
+                None => panic!("sample for unwired channel {}", s.channel),
             }
         }
+        probes.finish()
+    }
 
-        let detector_stats = detectors.into_iter().map(|d| d.into_stats()).collect();
-        Self::record(dpus, detector_stats)
+    /// The probe front end of one measurement: an event detector per
+    /// channel and a DPU per recorder, fed one channel's samples at a
+    /// time through [`Probes::channel`] and closed by
+    /// [`Probes::finish`]. [`Zm4::observe_iter`] is a loop over it; a
+    /// caller whose samples arrive in per-channel bursts looks each
+    /// channel up once per burst instead of once per sample.
+    pub fn probes(&self) -> Probes<'_> {
+        Probes {
+            zm4: self,
+            detectors: (0..self.channels)
+                .map(|ch| EventDetector::new(ch, self.config.detector_latency))
+                .collect(),
+            dpus: self.dpus(),
+        }
     }
 
     /// Runs the measurement over events the detectors have already
@@ -272,6 +280,57 @@ impl Zm4 {
     }
 }
 
+/// One measurement in progress: the detectors and DPUs that
+/// [`Zm4::probes`] wired up, waiting for probe samples.
+#[derive(Debug)]
+pub struct Probes<'a> {
+    zm4: &'a Zm4,
+    detectors: Vec<EventDetector>,
+    dpus: Vec<Dpu>,
+}
+
+impl Probes<'_> {
+    /// The probe clipped onto `channel`: its event detector and the DPU
+    /// of the recorder it is wired to. `None` when the monitor was not
+    /// built for that channel.
+    #[inline]
+    pub fn channel(&mut self, channel: usize) -> Option<ChannelProbe<'_>> {
+        let detector = self.detectors.get_mut(channel)?;
+        let dpu = &mut self.dpus[self.zm4.recorder_of(channel)];
+        Some(ChannelProbe { detector, dpu })
+    }
+
+    /// Ends the measurement: each DPU runs its FIFO/drain model over the
+    /// events queued on it, then the CEC merges the local traces.
+    pub fn finish(self) -> Measurement {
+        let detector_stats = self
+            .detectors
+            .into_iter()
+            .map(EventDetector::into_stats)
+            .collect();
+        Zm4::record(self.dpus, detector_stats)
+    }
+}
+
+/// One channel of a [`Probes`] front end (see [`Probes::channel`]).
+#[derive(Debug)]
+pub struct ChannelProbe<'a> {
+    detector: &'a mut EventDetector,
+    dpu: &'a mut Dpu,
+}
+
+impl ChannelProbe<'_> {
+    /// Feeds one probed write of this channel to its detector and
+    /// queues the event it completes, if any, on the channel's DPU.
+    /// The channel's samples must arrive in non-decreasing time order.
+    #[inline]
+    pub fn feed(&mut self, sample: ProbeSample) {
+        if let Some(event) = self.detector.feed(sample) {
+            self.dpu.queue_event(event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,6 +382,17 @@ mod tests {
             assert_eq!(direct.recorder_stats, oracle.recorder_stats);
             assert_eq!(direct.detector_stats, oracle.detector_stats);
         }
+    }
+
+    #[test]
+    fn probes_exist_only_on_wired_channels() {
+        let zm4 = Zm4::new(Zm4Config::default(), 3, 1);
+        let mut probes = zm4.probes();
+        assert!(probes.channel(2).is_some());
+        assert!(probes.channel(3).is_none());
+        let m = probes.finish();
+        assert_eq!(m.detector_stats.len(), 3);
+        assert!(m.trace.is_empty());
     }
 
     #[test]
