@@ -64,14 +64,38 @@
 //! *write range*: the leftovers `k` from some highest value down to 0,
 //! all in the `(out − 1, remaining)` family. Neighbouring states share
 //! most of their write ranges, and the send-closure of every member was
-//! pushed, leaf by leaf, the first time any state emitted it. So
-//! [`FlowModel::explore`] keeps one *write mark* per family — how many
-//! of the lowest `k` have been expanded — and emits only the members
-//! above it, in the same order. Every skipped leaf is a seen state, so
-//! the node list, every verdict field and every witness path are those
-//! of the enumeration that re-emits whole ranges; the exactness tests
-//! below pin the two together. At paper scale this cuts the leaves
-//! examined per stored state on V1/V2 from ~266 to ~13.
+//! pushed the first time any state emitted it. So [`FlowModel::explore`]
+//! keeps one *write mark* per family — how many of the lowest `k` have
+//! been expanded — and emits only the members above it, in the same
+//! order, then one sentinel for the rest.
+//!
+//! # Send-chain marks
+//!
+//! The send-closure of a saturated state walks its chain of forced
+//! sends: each send-enabled state on it adds the leaf of its tail branch
+//! and passes on to itself plus one job, so the closure of every state on
+//! the chain is the stretch of the walk from that state on. Once a walk
+//! has passed through a state, any later walk that reaches it would emit
+//! that stretch again. So [`FlowModel::explore`] keeps a *chain mark* on
+//! each saturated, send-enabled state a walk passes through, and a walk
+//! that reaches a marked state stops there with one sentinel. Likewise a
+//! completion that leaves no job outstanding forces every bridge length
+//! to the same state, so only the first bridge is expanded and one
+//! sentinel stands for the others.
+//!
+//! # Sentinels
+//!
+//! Each sentinel stands for a run of successors emitted before it, by an
+//! earlier expansion or earlier in the same list, and examined by the
+//! exploration, so every one is a seen state. The exploration counts a
+//! sentinel at its budget check, as it would count the first of the
+//! run, and never stores it; a list holding one is not empty, as the run
+//! was not. The node list, the budget flag, every verdict field and
+//! every witness path are therefore those of the enumeration that emits
+//! every successor, and the exactness tests below pin the two together.
+//! At paper scale the entries examined per stored state on V1/V2 fall
+//! from ~266 without marks to ~13 with write marks and ~5 with both:
+//! ~4 successor states and ~1 sentinel.
 //!
 //! State counters are 16-bit. Each is bounded by the queue capacity in
 //! bundles, so a shape whose queue holds more than `u16::MAX` bundles is
@@ -134,12 +158,32 @@ enum Action {
     /// the given length (bridging earlier completions); any full
     /// chunks are written immediately.
     CompleteBridge(u16),
+    /// Not a transition: tags the [`SKIPPED`] sentinel.
+    Skip,
 }
+
+/// One successor-list entry: the state, the action reaching it, and the
+/// urgent sends folded into the edge.
+type Succ = (State, Action, u16);
+
+/// The entry [`FlowModel::explore`] pushes in place of a run of
+/// successors that are all seen states: counted at the budget check,
+/// never stored (see the module docs, "Sentinels").
+const SKIPPED: Succ = (
+    State {
+        out: 0,
+        done: 0,
+        contig: 0,
+        remaining: 0,
+    },
+    Action::Skip,
+    0,
+);
 
 impl Action {
     fn render(self) -> String {
         match self {
-            Action::Init => String::new(),
+            Action::Init | Action::Skip => String::new(),
             Action::SendMany => "master sends a job (plenty of pixels left)".to_owned(),
             Action::SendTail(n) => {
                 format!("master sends a job ({n} bundle(s) of the image left)")
@@ -207,9 +251,10 @@ impl fmt::Display for QueueTooWide {
 /// capacity_b`, `contig < chunk_b` after normalization, `remaining ∈
 /// {MANY, 0..=tail}`), so for every realistic shape the whole space
 /// indexes into a dense bitset — no hashing on the hot path, which is
-/// traversed once per examined successor (~1.3 M for V1/V2's 100 000
+/// traversed once per examined successor (~0.4 M for V1/V2's 100 000
 /// states). Shapes whose product overflows the cap fall back to a hash
-/// set with a cheap multiplicative hasher.
+/// set with a cheap multiplicative hasher. The chain marks are the same
+/// set over the saturated states alone.
 enum Seen {
     Dense {
         bits: Vec<u64>,
@@ -224,11 +269,21 @@ enum Seen {
 const DENSE_CAP: usize = 1 << 27;
 
 impl Seen {
+    /// An empty set over every state of `m`.
     fn new(m: &FlowModel) -> Seen {
+        Seen::with_rem_dim(m, usize::from(m.tail()) + 2)
+    }
+
+    /// An empty set over the saturated states of `m` (remainder
+    /// [`MANY`]) only: the chain marks.
+    fn saturated(m: &FlowModel) -> Seen {
+        Seen::with_rem_dim(m, 1)
+    }
+
+    fn with_rem_dim(m: &FlowModel, rem_dim: usize) -> Seen {
         let out_dim = m.credits.min(m.capacity_b) as usize + 1;
         let done_dim = m.capacity_b as usize + 1;
         let contig_dim = (m.chunk_b as usize).max(1);
-        let rem_dim = usize::from(m.tail()) + 2;
         let size = out_dim
             .checked_mul(done_dim)
             .and_then(|s| s.checked_mul(contig_dim))
@@ -253,6 +308,7 @@ impl Seen {
                 contig_dim,
                 rem_dim,
             } => {
+                debug_assert!(rem_index(s.remaining) < *rem_dim, "{s:?} outside the set");
                 let idx = ((usize::from(s.out) * *done_dim + usize::from(s.done)) * *contig_dim
                     + usize::from(s.contig))
                     * *rem_dim
@@ -321,6 +377,24 @@ impl WriteMarks {
     }
 }
 
+/// What [`FlowModel::explore`] remembers between expansions so that it
+/// emits each send-closure leaf once (see the module docs).
+struct Marks {
+    writes: WriteMarks,
+    /// Saturated, send-enabled states some closure walk has passed
+    /// through.
+    chains: Seen,
+}
+
+impl Marks {
+    fn new(m: &FlowModel) -> Marks {
+        Marks {
+            writes: WriteMarks::new(m),
+            chains: Seen::saturated(m),
+        }
+    }
+}
+
 /// How [`FlowModel::successors`] expands a state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Expansion {
@@ -328,11 +402,11 @@ enum Expansion {
     /// ([`FlowModel::explore_full`]).
     Full,
     /// The send-priority persistent set, every successor closed under
-    /// forced sends, each write range expanded past its family's write
-    /// mark only ([`FlowModel::explore`]).
+    /// forced sends, each run of successors an earlier step emitted
+    /// folded into one [`SKIPPED`] sentinel ([`FlowModel::explore`]).
     Reduced,
-    /// [`Expansion::Reduced`] as it was before write marks: every write
-    /// range re-emitted whole, each closure recursive. The oracle the
+    /// [`Expansion::Reduced`] as it was before write and chain marks:
+    /// every successor emitted, each closure recursive. The oracle the
     /// exactness tests hold [`FlowModel::explore`] to.
     #[cfg(test)]
     ReducedNaive,
@@ -454,16 +528,26 @@ impl FlowModel {
     /// A loop, not a recursion: a wide window folds thousands of sends
     /// into one edge. It walks the saturated chain forward, pushing each
     /// tail branch's leaf on the way and the chain's own leaf last, then
-    /// reverses that stretch into depth-first order.
+    /// reverses that stretch into depth-first order. It marks each
+    /// saturated, send-enabled state it passes; on reaching one an
+    /// earlier walk marked, it pushes [`SKIPPED`] for that state's
+    /// closure instead of walking on.
     fn push_closed(
         &self,
         mut t: State,
         action: Action,
         mut burst: u16,
-        next: &mut Vec<(State, Action, u16)>,
+        chains: &mut Seen,
+        next: &mut Vec<Succ>,
     ) {
         let first = next.len();
-        while t.remaining == MANY && self.can_send(t) {
+        let last = loop {
+            if t.remaining != MANY || !self.can_send(t) {
+                break self.close_counted(t, action, burst);
+            }
+            if !chains.insert(t) {
+                break SKIPPED;
+            }
             burst += 1;
             let mut u = t;
             u.out += 1;
@@ -471,15 +555,15 @@ impl FlowModel {
             next.push(self.close_counted(self.normalize(u), action, burst));
             t.out += 1;
             t = self.normalize(t);
-        }
-        next.push(self.close_counted(t, action, burst));
+        };
+        next.push(last);
         next[first..].reverse();
     }
 
     /// Folds the urgent sends of a state whose remainder is concrete (or
     /// that cannot send): each takes one of the bundles left, so the
     /// closure is a single chain.
-    fn close_counted(&self, mut t: State, action: Action, mut burst: u16) -> (State, Action, u16) {
+    fn close_counted(&self, mut t: State, action: Action, mut burst: u16) -> Succ {
         while self.can_send(t) {
             t.out += 1;
             t.remaining -= 1;
@@ -496,26 +580,22 @@ impl FlowModel {
         t: State,
         action: Action,
         expansion: Expansion,
-        next: &mut Vec<(State, Action, u16)>,
+        marks: &mut Marks,
+        next: &mut Vec<Succ>,
     ) {
         match expansion {
             Expansion::Full => next.push((t, action, 0)),
-            Expansion::Reduced => self.push_closed(t, action, 0, next),
+            Expansion::Reduced => self.push_closed(t, action, 0, &mut marks.chains, next),
             #[cfg(test)]
             Expansion::ReducedNaive => self.push_closed_recursive(t, action, 0, next),
         }
     }
 
     /// The recursive send-closure [`FlowModel::push_closed`] replaced:
-    /// one frame per folded send. Kept for the exactness tests.
+    /// one frame per folded send, no marks. Kept for the exactness
+    /// tests.
     #[cfg(test)]
-    fn push_closed_recursive(
-        &self,
-        t: State,
-        action: Action,
-        burst: u16,
-        next: &mut Vec<(State, Action, u16)>,
-    ) {
+    fn push_closed_recursive(&self, t: State, action: Action, burst: u16, next: &mut Vec<Succ>) {
         if !self.can_send(t) {
             next.push((t, action, burst));
             return;
@@ -538,18 +618,12 @@ impl FlowModel {
     /// persistent set) and every successor is closed under forced
     /// sends, so only send-closed states are ever stored.
     ///
-    /// Returns `true` when `marks` cut a write range short: the skipped
-    /// successors exist, but an earlier state already pushed every one.
-    /// Such a state still has a job outstanding after the completion, so
-    /// its list also holds the completion away from the write head and
-    /// is never empty.
-    fn successors(
-        &self,
-        s: State,
-        expansion: Expansion,
-        marks: &mut WriteMarks,
-        next: &mut Vec<(State, Action, u16)>,
-    ) -> bool {
+    /// [`Expansion::Reduced`] also consults `marks` and pushes one
+    /// [`SKIPPED`] in place of each run of successors an earlier step
+    /// already pushed: a closure past a marked chain state, the write
+    /// range below the family's write mark, and every bridge after the
+    /// first when the completion leaves no job outstanding.
+    fn successors(&self, s: State, expansion: Expansion, marks: &mut Marks, next: &mut Vec<Succ>) {
         next.clear();
 
         // Send: a credit and a queue slot carry one bundle out.
@@ -557,20 +631,20 @@ impl FlowModel {
             let mut t = s;
             t.out += 1;
             if s.remaining == MANY {
-                self.push_successor(self.normalize(t), Action::SendMany, expansion, next);
+                self.push_successor(self.normalize(t), Action::SendMany, expansion, marks, next);
                 t.remaining = self.tail();
                 let action = Action::SendTail(self.tail());
-                self.push_successor(self.normalize(t), action, expansion, next);
+                self.push_successor(self.normalize(t), action, expansion, marks, next);
             } else {
                 t.remaining -= 1;
                 let action = Action::SendCount(t.remaining);
-                self.push_successor(self.normalize(t), action, expansion, next);
+                self.push_successor(self.normalize(t), action, expansion, marks, next);
             }
             if expansion != Expansion::Full {
                 // Send-priority persistent set: completions commute
                 // with (and never disable) sends, so their expansion
                 // waits until no send is enabled.
-                return false;
+                return;
             }
         }
 
@@ -578,7 +652,6 @@ impl FlowModel {
         // the result and the credit returns. The completed bundle may
         // extend the contiguous prefix by any amount (bridging
         // previously completed bundles) or leave it untouched.
-        let mut skipped = false;
         if s.out > 0 {
             let out = s.out - 1;
             let done = s.done + 1;
@@ -587,18 +660,25 @@ impl FlowModel {
                 t.out = out;
                 t.done = done;
                 let t = self.normalize(t);
-                self.push_successor(t, Action::CompleteAway, expansion, next);
+                self.push_successor(t, Action::CompleteAway, expansion, marks, next);
             }
-            // Bridges from `first_write` up are the write range: bridge
-            // `c` leaves `k = done − c`. With no job left the write-back
-            // forces every bridge to one state, outside any family.
             let mut last = done;
-            let first_write = u32::from(s.contig + 1).max(self.chunk_b);
-            if expansion == Expansion::Reduced && out > 0 && first_write <= u32::from(done) {
-                let hi = done - first_write as u16;
-                let expanded = marks.raise(out, s.remaining, hi);
-                skipped = expanded > 0;
-                last = done - expanded.min(hi + 1);
+            if expansion == Expansion::Reduced {
+                if out == 0 {
+                    // With no job left the write-back forces every
+                    // bridge to one state: the first pushes its
+                    // closure, the rest repeat it.
+                    last = s.contig + 1;
+                } else {
+                    // Bridges from `first_write` up are the write
+                    // range: bridge `c` leaves `k = done − c`.
+                    let first_write = u32::from(s.contig + 1).max(self.chunk_b);
+                    if first_write <= u32::from(done) {
+                        let hi = done - first_write as u16;
+                        let expanded = marks.writes.raise(out, s.remaining, hi);
+                        last = done - expanded.min(hi + 1);
+                    }
+                }
             }
             for contig in (s.contig + 1)..=last {
                 let mut t = s;
@@ -606,10 +686,12 @@ impl FlowModel {
                 t.done = done;
                 t.contig = contig;
                 let t = self.normalize(t);
-                self.push_successor(t, Action::CompleteBridge(contig), expansion, next);
+                self.push_successor(t, Action::CompleteBridge(contig), expansion, marks, next);
+            }
+            if last < done {
+                next.push(SKIPPED);
             }
         }
-        skipped
     }
 
     /// Refuses a shape whose queue holds more bundles than the 16-bit
@@ -667,7 +749,7 @@ impl FlowModel {
             remaining: MANY,
         });
         let mut seen = Seen::new(self);
-        let mut marks = WriteMarks::new(self);
+        let mut marks = Marks::new(self);
         // (state, parent index, action from the parent, sends folded
         // into the edge)
         let mut nodes: Vec<(State, usize, Action, u16)> =
@@ -675,7 +757,7 @@ impl FlowModel {
         seen.insert(initial);
 
         let mut peak_at = 0usize;
-        let mut succs: Vec<(State, Action, u16)> = Vec::new();
+        let mut succs: Vec<Succ> = Vec::new();
 
         let mut head = 0usize;
         while head < nodes.len() && !verdict.bounded {
@@ -701,7 +783,7 @@ impl FlowModel {
                 continue;
             }
 
-            let skipped = self.successors(s, expansion, &mut marks, &mut succs);
+            self.successors(s, expansion, &mut marks, &mut succs);
             if succs.is_empty() {
                 if verdict.deadlock.is_none() {
                     verdict.deadlock = Some(path_to(&nodes, head));
@@ -714,14 +796,11 @@ impl FlowModel {
                     verdict.bounded = true;
                     break;
                 }
-                if seen.insert(t) {
+                // A sentinel counts at the check above, as the first
+                // seen state of its run would, and is never stored.
+                if action != Action::Skip && seen.insert(t) {
                     nodes.push((t, head, action, burst));
                 }
-            }
-            // The skipped successors come last and are all seen, but
-            // examining one at the budget would stop the exploration.
-            if skipped && nodes.len() >= max_states {
-                verdict.bounded = true;
             }
             head += 1;
         }
@@ -771,7 +850,8 @@ mod tests {
         }
     }
 
-    /// The explorer before write marks and the iterative closure.
+    /// The explorer before write and chain marks and the iterative
+    /// closure.
     fn explore_naive(m: &FlowModel, max_states: usize) -> FlowVerdict {
         m.explore_mode(max_states, Expansion::ReducedNaive)
     }
@@ -811,11 +891,32 @@ mod tests {
         }
     }
 
+    /// The widest queue the 16-bit counters hold, with a window wide
+    /// enough that its first closure folds 25 500 sends into one edge.
+    /// Its states and chain marks overflow the dense tables.
+    fn widest_queue() -> FlowModel {
+        FlowModel::from_protocol(255, 100, 1, 65_535, 4, true)
+    }
+
+    /// Holds [`FlowModel::explore`] to the naive enumeration, whole
+    /// verdicts and witness paths included. The naive side runs on a
+    /// thread whose stack holds its recursion: one frame per folded
+    /// send.
+    fn assert_matches_naive(m: FlowModel, budget: usize) {
+        let naive = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || explore_naive(&m, budget))
+            .expect("spawn the naive exploration")
+            .join()
+            .expect("naive exploration");
+        assert_eq!(m.explore(budget), naive, "{m:?} at {budget}");
+    }
+
     #[test]
-    fn write_marks_match_the_naive_enumeration_on_paper_shapes() {
-        // Whole verdicts, witness paths included. V1/V2 and ray-n64 are
-        // cut by a small budget so the bounded case runs at paper scale
-        // too; the randomized twin below covers small shapes.
+    fn marks_match_the_naive_enumeration_on_pinned_shapes() {
+        // V1/V2 and ray-n64 are cut by a small budget so the bounded case
+        // runs at paper scale in every build; the pre-flight twin below
+        // runs the pre-flight's budgets, the randomized twin small shapes.
         let v1 = FlowModel::from_protocol(15, 3, 1, 512, 4, true);
         let cases = [
             (
@@ -831,23 +932,44 @@ mod tests {
             (ray_rung(64), 5_000),
             (model(2, 2, 3, false), 100_000),
             (model(2, 4, 2, false), 100_000),
+            (widest_queue(), 60_000),
         ];
         for (m, budget) in cases {
-            assert_eq!(
-                m.explore(budget),
-                explore_naive(&m, budget),
-                "{m:?} at {budget}"
-            );
+            assert_matches_naive(m, budget);
+        }
+        // The budget runs out on a sentinel. In the second stored state's
+        // list, the completion away from the write head stores the 5th
+        // state; the bridge then writes its one bundle and lands on the
+        // first send's chain, already marked, so its closure is one
+        // sentinel, examined at the budget.
+        let m = model(2, 2, 1, false);
+        let v = m.explore(5);
+        assert!(v.bounded && v.states == 5, "{v:?}");
+        assert_matches_naive(m, 5);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "paper scale: run with --release")]
+    fn marks_match_the_naive_enumeration_on_preflight_shapes() {
+        // Every shape the pre-flight explores, at the budgets it uses:
+        // 100 000 per run, 2 000 000 for `analyze --deep`. The ray rungs
+        // from n4 to n32 close below either budget.
+        let v1 = FlowModel::from_protocol(15, 3, 1, 512, 4, true);
+        let mut cases = vec![(v1, 100_000), (v1, 2_000_000)];
+        cases.extend([4, 8, 16, 32].map(|n| (ray_rung(n), 2_000_000)));
+        cases.extend([(ray_rung(64), 100_000), (ray_rung(64), 2_000_000)]);
+        for (m, budget) in cases {
+            assert_matches_naive(m, budget);
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Write marks and the iterative closure change what is
-        /// examined, never what is found: the whole verdict equals the
+        /// Write and chain marks and the iterative closure change what
+        /// is examined, never what is found: the whole verdict equals the
         /// naive enumeration's under any budget, including budgets that
-        /// run out right where a write range was skipped.
+        /// run out right on a sentinel.
         #[test]
         fn write_marks_match_the_naive_enumeration(
             credits in 1u32..=12,
@@ -875,7 +997,7 @@ mod tests {
             .contains("65536 bundles"));
         // The widest queue the counters hold explores, its first closure
         // folding every one of the 25 500 credits into one edge.
-        let widest = FlowModel::from_protocol(255, 100, 1, 65_535, 4, true);
+        let widest = widest_queue();
         assert_eq!(widest.counters_fit(), Ok(()));
         let v = widest.explore(30_000);
         assert!(v.bounded);
