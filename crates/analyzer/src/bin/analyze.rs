@@ -14,7 +14,7 @@
 //!                      stdout; at most one of the two may be "-")
 //!   --preemptive       also model-check the preemptive-scheduler
 //!                      variant and print its counterexample
-//!   --races            run the DPOR message-race explorer and append
+//!   --races            run the message-race explorer and append
 //!                      a race report per version (uses the scheduler
 //!                      selected by --preemptive; round-robin by
 //!                      default). Race warnings stay warnings unless
@@ -35,10 +35,9 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use analyzer::{
-    check_preemptive_variant, reports_json_with_timings, sarif, ModelBudget, Report, Severity,
-    SubjectTimings,
-};
+use analyzer::model::check_sched;
+use analyzer::model::sched::SchedModel;
+use analyzer::{reports_json_with_timings, sarif, ModelBudget, Report, Severity, SubjectTimings};
 use pipeline::PipelineConfig;
 use raysim::config::{AppConfig, Version};
 
@@ -155,8 +154,7 @@ fn main() -> ExitCode {
 
     if preemptive {
         for &version in &versions {
-            let app = AppConfig::version(version);
-            let verdict = check_preemptive_variant(&app, &budget);
+            let verdict = check_sched(SchedModel::of(version, true), budget.sched_states);
             let mut stanza = format!("== {version}, preemptive scheduler variant ==\n");
             match verdict.sync2_violation.or(verdict.sync1_violation) {
                 Some(path) => {

@@ -26,11 +26,12 @@
 //! * [`hb`] — the vector-clock happens-before engine over recorded
 //!   traces, cross-validated against the model checker's proven
 //!   orderings (`AN-HB-*`).
-//! * [`race`] — the DPOR message-race explorer (sleep sets over a
-//!   persistent-set reduction): mailbox receive-races, lost wakeups,
+//! * [`race`] — the message-race explorer, a plain breadth-first search
+//!   of the kernel/mailbox interleavings that the effective-synchrony
+//!   verdict is also read from: mailbox receive-races, lost wakeups,
 //!   lost signals and nondeterministic monitoring interleavings, each
-//!   with a replayable witness interleaving cross-checked against the
-//!   happens-before engine (`AN-RACE-*`).
+//!   with a shortest, replayable witness interleaving cross-checked
+//!   against the happens-before engine (`AN-RACE-*`).
 //! * [`structural`] — the place/transition-net layer: P-invariants by
 //!   Gaussian elimination over the incidence matrix (credit
 //!   conservation as a machine-checkable certificate), siphon/trap
@@ -76,8 +77,7 @@ pub mod token_lints;
 pub use diag::{Diagnostic, Finding, Location, Report, Severity};
 pub use hb::{analyze_trace, validate_orders, HbStats};
 pub use model::{
-    check_app, check_app_timed, check_preemptive_variant, proven_orders, ModelBudget, ModelTimings,
-    OrderScope, ProvenOrder,
+    check_app, check_app_timed, proven_orders, ModelBudget, ModelTimings, OrderScope, ProvenOrder,
 };
 pub use preflight::{
     analyze, analyze_version, pipeline_deny, pipeline_hook, pipeline_warn, workload_deny,
@@ -85,8 +85,8 @@ pub use preflight::{
 };
 pub use protocol::{analyze_protocol, CreditLedger, ProtocolGraph};
 pub use race::{
-    check_race_model, check_races, hb_crosscheck, scope_of_orders, witness_is_concurrent,
-    RaceModel, RaceVerdict, RaceWitness,
+    check_race_model, check_races, hb_crosscheck, witness_is_concurrent, RaceModel, RaceVerdict,
+    RaceWitness,
 };
 pub use rate::{analyze_rate, predict, RatePrediction};
 pub use render::{report_json, reports_json, reports_json_with_timings, sarif, SubjectTimings};

@@ -1,7 +1,8 @@
 //! The protocol model checker: machine-checked verdicts about a
 //! [`raysim`] configuration, produced without executing the simulator.
 //!
-//! Three bounded models, each exhaustively explored:
+//! Two bounded models, each exhaustively explored, and one verdict read
+//! off the race explorer:
 //!
 //! * [`flow`] — the window/credit/pixel-queue protocol in bundle units
 //!   at paper scale (deadlock reachability, peak concurrency / the V3
@@ -10,9 +11,9 @@
 //!   (schedule-dependent *possible* vs schedule-independent
 //!   *inevitable* deadlock, differentially tested against the
 //!   simulator);
-//! * [`sched`] — a small-scope node-scheduler/mailbox model (the
-//!   effective-synchrony theorem, with a counterexample under a
-//!   preemptive toggle).
+//! * [`sched`] — the effective-synchrony theorem over the race
+//!   explorer's kernel/mailbox interleavings ([`crate::race`]), with a
+//!   counterexample under a preemptive toggle.
 //!
 //! [`check_app`] runs the layers appropriate for a configuration and
 //! folds the verdicts into [`Diagnostic`]s (the `AN-MODEL-*` codes);
@@ -37,7 +38,7 @@ use exact::ExactModel;
 use flow::{FlowModel, FlowVerdict};
 use sched::{SchedModel, SchedVerdict};
 
-/// State budgets for the three explorations.
+/// State budgets for the explorations.
 ///
 /// The pre-flight budget keeps per-run analysis cheap (a bounded
 /// exploration reports `AN-MODEL-005` instead of a universal claim);
@@ -49,10 +50,9 @@ pub struct ModelBudget {
     pub flow_states: usize,
     /// Max states for the exact model (`0` disables it).
     pub exact_states: usize,
-    /// Max states for the scheduler model.
+    /// Max states for the kernel/mailbox interleaving search
+    /// ([`crate::race`]) behind effective synchrony and `AN-RACE-*`.
     pub sched_states: usize,
-    /// Max states for the race explorer ([`crate::race`]).
-    pub race_states: usize,
 }
 
 impl ModelBudget {
@@ -62,7 +62,6 @@ impl ModelBudget {
             flow_states: 100_000,
             exact_states: 0,
             sched_states: 500_000,
-            race_states: 200_000,
         }
     }
 
@@ -73,7 +72,6 @@ impl ModelBudget {
             flow_states: 2_000_000,
             exact_states: 1_000_000,
             sched_states: 2_000_000,
-            race_states: 2_000_000,
         }
     }
 }
@@ -122,24 +120,22 @@ const EXACT_MAX_PIXELS: u32 = 64;
 pub use pipeline::{OrderEdge as ProvenOrder, OrderScope};
 
 /// The orderings guaranteed by message causality and the blocking
-/// mailbox protocol, as witnessed by the scheduler model: a message is
+/// mailbox protocol, as witnessed by the interleaving search: a message is
 /// accepted only after its send began, so each job's instrumentation
 /// points are totally ordered across nodes. Delegates to the ray-tracer
 /// workload's own declaration ([`raysim::workload::proven_orders`]),
-/// which this module's scheduler model is the witness for.
+/// which the interleaving search is the witness for.
 pub fn proven_orders(app: &AppConfig) -> Vec<ProvenOrder> {
     raysim::workload::proven_orders(app)
 }
 
-/// Explores the scheduler model, memoizing by shape — sweeps pre-flight
-/// hundreds of runs that share the handful of version shapes, and the
-/// verdict depends only on `(master_agents, servant_agents, preemptive,
-/// budget)`.
+/// The effective-synchrony verdict of a version shape, read off the
+/// memoized interleaving search ([`crate::race::explore_version`]) —
+/// sweeps pre-flight hundreds of runs that share the handful of version
+/// shapes, and the verdict depends only on `(master_agents,
+/// servant_agents, preemptive, budget)`.
 pub fn check_sched(model: SchedModel, max_states: usize) -> SchedVerdict {
-    static MEMO: Memo<(SchedModel, usize), SchedVerdict> = OnceLock::new();
-    memoized(&MEMO, (model, max_states), |(model, max_states)| {
-        model.explore(*max_states)
-    })
+    SchedVerdict::from(&crate::race::explore_version(model, max_states))
 }
 
 /// Explores the flow model, memoizing by shape: the verdict depends only
@@ -155,13 +151,19 @@ pub fn check_flow(model: FlowModel, max_states: usize) -> FlowVerdict {
 
 /// Wall time spent in each model-checking phase of [`check_app_timed`],
 /// for the per-layer cost breakdown `analyze --json` publishes.
+///
+/// Effective synchrony and the race report read one shared, memoized
+/// interleaving search ([`crate::race::explore_version`]); its time
+/// lands in whichever phase asks first — `model`, in [`check_app`]'s
+/// order — and the other reads the memo.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelTimings {
     /// The structural (place/transition-net) layer.
     pub structural: Duration,
-    /// The exhaustive flow/exact/sched explorations.
+    /// The flow and exact explorations and the effective-synchrony
+    /// verdict.
     pub model: Duration,
-    /// The DPOR race explorer.
+    /// The race report.
     pub race: Duration,
 }
 
@@ -314,26 +316,20 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         }
     }
 
-    // --- Scheduler model: the effective-synchrony theorem.
-    let sv = check_sched(
-        SchedModel {
-            master_agents: app.version.master_agents(),
-            servant_agents: app.version.servant_agents(),
-            preemptive: false,
-        },
-        budget.sched_states,
-    );
+    // --- The effective-synchrony theorem, read off the interleaving
+    // search the race report below shares.
+    let sv = check_sched(SchedModel::of(app.version, false), budget.sched_states);
     if sv.bounded {
         bounded_layers.push(BoundedLayer {
             summary: format!(
-                "scheduler model stopped at {} states (budget {})",
+                "interleaving search stopped at {} states (budget {})",
                 sv.states, budget.sched_states
             ),
             partial: vec!["effective synchrony (SYNC-1/SYNC-2)".to_owned()],
             closed: Vec::new(),
         });
     }
-    if let Some(path) = sv.sync1_violation.clone().or(sv.sync2_violation.clone()) {
+    if let Some(path) = sv.sync1_violation.or(sv.sync2_violation) {
         report.push(
             Diagnostic::error(
                 "AN-MODEL-004",
@@ -554,22 +550,8 @@ fn flow_findings(
     }
 }
 
-/// Model-checks the preemptive-scheduler variant of a configuration,
-/// returning the effective-synchrony verdict (with its counterexample
-/// path) directly.
-pub fn check_preemptive_variant(app: &AppConfig, budget: &ModelBudget) -> SchedVerdict {
-    check_sched(
-        SchedModel {
-            master_agents: app.version.master_agents(),
-            servant_agents: app.version.servant_agents(),
-            preemptive: true,
-        },
-        budget.sched_states,
-    )
-}
-
 /// Shared assertions over model-checker witness paths, used by the
-/// scheduler-model and module-level tests alike.
+/// effective-synchrony and module-level tests alike.
 #[cfg(test)]
 pub(crate) mod testutil {
     /// Asserts a witness/counterexample path is well-formed: non-empty,
@@ -654,10 +636,35 @@ mod tests {
 
     #[test]
     fn preemptive_variant_yields_a_counterexample() {
-        let verdict =
-            check_preemptive_variant(&AppConfig::version(Version::V4), &ModelBudget::full());
-        let path = verdict.sync2_violation.expect("preemption breaks SYNC-2");
-        testutil::assert_sync2_witness(&path);
+        let counterexample = |version| {
+            check_sched(
+                SchedModel::of(version, true),
+                ModelBudget::full().sched_states,
+            )
+            .sync2_violation
+            .expect("preemption breaks SYNC-2")
+        };
+        testutil::assert_sync2_witness(&counterexample(Version::V4));
+        // The breadth-first search finds a shortest interleaving.
+        assert_eq!(
+            counterexample(Version::V1),
+            [
+                "node 0 dispatches the master",
+                "the master sends job #0 to the servant and blocks until it is accepted",
+                "job #0 arrives at node 1's mailbox",
+                "node 1 dispatches its mailbox LWP",
+                "node 1's mailbox accepts job #0 for the servant (sender the master unblocks)",
+                "node 0 dispatches the master",
+                "the master sends job #1 to the servant and blocks until it is accepted",
+                "job #1 arrives at node 1's mailbox",
+                "node 1 dispatches the servant",
+                "the servant receives job #0",
+                "the servant starts computing",
+                "node 1's mailbox LWP preempts the servant mid-compute",
+                "node 1's mailbox accepts job #1 while the servant is still mid-compute — \
+                 SYNC-2 (effective synchrony) violated (AN-RACE-004)",
+            ]
+        );
     }
 
     #[test]

@@ -38,9 +38,13 @@ pub struct LayerTimings {
     pub rate: Duration,
     /// Structural place/transition-net layer (`AN-STRUCT-*`).
     pub structural: Duration,
-    /// Exhaustive flow/exact/sched explorations (`AN-MODEL-*`).
+    /// Flow/exact explorations and the effective-synchrony verdict
+    /// (`AN-MODEL-*`).
     pub model: Duration,
-    /// DPOR race explorer (`AN-RACE-*`).
+    /// Race report (`AN-RACE-*`). It shares one memoized interleaving
+    /// search with effective synchrony; the search's time lands in
+    /// whichever layer asks first (`model` here), and the other reads
+    /// the memo.
     pub race: Duration,
 }
 

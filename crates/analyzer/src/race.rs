@@ -1,16 +1,14 @@
-//! The message-race explorer: DPOR (persistent sets + sleep sets) over
-//! the kernel/mailbox interleaving space, surfacing the schedule-
-//! dependent behaviour monitoring must expect — with a concrete,
-//! replayable witness interleaving for every finding.
+//! The message-race explorer: a plain breadth-first search of the
+//! kernel/mailbox interleaving space, surfacing the schedule-dependent
+//! behaviour monitoring must expect — with a concrete, replayable
+//! witness interleaving for every finding.
 //!
-//! The scheduler model ([`crate::model::sched`]) proves effective
-//! synchrony under non-preemptive round-robin; this module asks the
-//! complementary question: *which message orderings are actually
-//! possible under an arbitrary scheduler?* Four race classes are
-//! checked, each a state-local predicate evaluated on the transition
-//! that completes the race (so partial-order reduction cannot hide
-//! one — every transition is explored from some representative
-//! interleaving):
+//! It is the analyzer's only explorer of these interleavings. The
+//! effective-synchrony verdict ([`crate::model::sched`]) is read off
+//! the same exploration: SYNC-1 and SYNC-2 are predicates at a mailbox
+//! accept, checked in [`RaceModel::explore`] next to the race classes.
+//! Four race classes are checked, each a state-local predicate
+//! evaluated on the transition that completes the race:
 //!
 //! * **AN-RACE-001, mailbox receive-race** — at the moment a mailbox
 //!   accepts a message, another message for the same receiver is
@@ -34,28 +32,40 @@
 //! * **AN-RACE-004, nondeterministic monitoring interleaving** — a
 //!   mailbox accept lands while a user process on the accepting node
 //!   is mid-compute: the trace a monitor records for that window
-//!   depends on the schedule (effective synchrony's SYNC-2, viewed as
-//!   a race the instrumentation would observe).
+//!   depends on the schedule. This is effective synchrony's SYNC-2.
 //!
-//! The explorer is a depth-first search with **sleep sets** layered on
-//! the same singleton-ample reduction the scheduler model uses: a
-//! transition explored from one interleaving is put to sleep in its
-//! independent siblings' subtrees, and a state is re-explored only
-//! when reached with a sleep set that is not a superset of one already
-//! explored. Every witness carries both rendered step labels and the
-//! structured schedule ([`RaceWitness::schedule`]) so it can be
+//! Every reachable state is expanded once and every enabled transition
+//! examined, so a predicate holds on every transition of the model or
+//! has a witness; breadth-first order makes each witness a shortest
+//! interleaving. Every witness carries both rendered step labels and
+//! the structured schedule ([`RaceWitness::schedule`]) so it can be
 //! replayed ([`RaceModel::replay`]) and cross-checked against the
 //! vector-clock happens-before engine ([`hb_crosscheck`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::OnceLock;
 
 use raysim::config::AppConfig;
 use simple::{Event, Trace};
 
-use crate::diag::{Diagnostic, Finding, Report};
+use crate::diag::{Diagnostic, Report};
 use crate::hb::analyze_trace;
+use crate::model::sched::SchedModel;
 use crate::model::{memoized, Memo, ModelBudget, OrderScope, ProvenOrder};
+
+/// The code a SYNC-1 violation is recorded under: a mailbox accepted a
+/// message whose sender was not blocked in the send. Not a race class,
+/// so never reported as an `AN-RACE-*` finding.
+pub const SYNC1: &str = "SYNC-1";
+
+/// The visited set's hasher: SipHash under fixed keys. Dropping the set
+/// frees its heap-owning states in hash order; under the per-process
+/// random keys of `RandomState` that order, and with it the allocator's
+/// free lists, changed from process to process, and it was what moved
+/// fig10's peak RSS between a ~35 MB and a ~37.5 MB mode.
+type FixedHasher = BuildHasherDefault<DefaultHasher>;
 
 /// A message: job or result, with an id and the sending process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,8 +147,8 @@ struct State {
     cpu: Vec<Cpu>,
 }
 
-/// A transition's identity — stable across independent reorderings, so
-/// sleep sets can match "the same transition" after a commuted step.
+/// A transition's identity: what a witness schedule records and
+/// [`RaceModel::replay`] looks up among the enabled transitions.
 /// `node` and `proc_`/`from`/`to` fields index the model's nodes and
 /// cast respectively; a message is identified by its sender (blocking
 /// sends keep at most one message per sender in flight).
@@ -181,7 +191,7 @@ struct Trans {
 /// model and checkable against the happens-before engine.
 #[derive(Debug, Clone)]
 pub struct RaceWitness {
-    /// The race class (`AN-RACE-001`..`004`).
+    /// The race class (`AN-RACE-001`..`004`), or [`SYNC1`].
     pub code: &'static str,
     /// Rendered step labels, ending at the racing transition.
     pub steps: Vec<String>,
@@ -200,11 +210,10 @@ pub struct RaceVerdict {
     pub states: usize,
     /// `true` when the state budget cut the exploration short.
     pub bounded: bool,
-    /// Transitions skipped by sleep sets (the reduction at work).
-    pub sleep_skips: usize,
     /// Mailbox accepts examined.
     pub accepts_checked: usize,
-    /// First witness per race class, in code order.
+    /// First witness per race class (and of a [`SYNC1`] violation), in
+    /// code order.
     pub witnesses: Vec<RaceWitness>,
     /// Total race occurrences per class (a witness is kept only for
     /// the first).
@@ -214,6 +223,9 @@ pub struct RaceVerdict {
     pub suppressed_receive_races: usize,
     /// `true` when a state with every process finished is reachable.
     pub completion_reachable: bool,
+    /// `true` when every reachable state but the finished one has an
+    /// enabled transition.
+    pub no_stuck_states: bool,
 }
 
 impl RaceVerdict {
@@ -225,7 +237,7 @@ impl RaceVerdict {
     /// `true` when no race of any class was observed (suppressed
     /// receive-races do not count — they are the declared-benign case).
     pub fn race_free(&self) -> bool {
-        self.witnesses.is_empty()
+        self.witnesses.iter().all(|w| w.code == SYNC1)
     }
 }
 
@@ -248,9 +260,9 @@ pub struct RaceModel {
 }
 
 impl RaceModel {
-    /// The master/servant shape of a program version: the same cast as
-    /// the scheduler model (master + servant + the version's
-    /// communication agents), two jobs under window flow control.
+    /// The master/servant shape of a program version: master, servant
+    /// and the version's communication agents, two jobs under window
+    /// flow control — the scope of [`crate::model::sched::SchedModel`].
     pub fn version_shape(master_agents: bool, servant_agents: bool, preemptive: bool) -> RaceModel {
         let mut node_of = vec![0u8, 1u8];
         let mut names = vec!["the master", "the servant"];
@@ -400,25 +412,6 @@ impl RaceModel {
         }
     }
 
-    /// Per process and pc, the bitmask of nodes targeted by sends at
-    /// or after that pc (for the preemptive ample-set condition).
-    fn future_send_masks(&self) -> Vec<Vec<u8>> {
-        self.scripts
-            .iter()
-            .map(|script| {
-                let mut masks = vec![0u8; script.len() + 1];
-                for (i, op) in script.iter().enumerate().rev() {
-                    masks[i] = masks[i + 1]
-                        | match op {
-                            Op::Send { to, .. } => 1 << self.node_of[*to as usize],
-                            _ => 0,
-                        };
-                }
-                masks
-            })
-            .collect()
-    }
-
     /// All enabled transitions of `s`, in a fixed deterministic order.
     fn enabled(&self, s: &State) -> Vec<Trans> {
         let mut out: Vec<Trans> = Vec::new();
@@ -519,11 +512,22 @@ impl RaceModel {
     }
 
     /// The mailbox LWP accepts the oldest pending message on node `n`,
-    /// checking the receive-race and monitoring-interleaving
+    /// checking the receive-race and the two effective-synchrony
     /// predicates on the way.
     fn accept(&self, s: &State, n: usize) -> Trans {
         let (msg, dst) = s.pending[n][0];
         let mut hits = Vec::new();
+
+        // SYNC-1: the sender is still blocked in this send — it cannot
+        // have completed asynchronously before the sender gave up its
+        // CPU.
+        let sender_blocked = s.procs[msg.from as usize].status == Status::BlockedSend(msg);
+        if !sender_blocked {
+            hits.push(Hit {
+                code: SYNC1,
+                pair: (msg.from, dst),
+            });
+        }
 
         // AN-RACE-001: another message for the same receiver is already
         // in flight from a different sender — the accept order is
@@ -541,15 +545,13 @@ impl RaceModel {
             });
         }
 
-        // AN-RACE-004: the accept lands while a user process on this
-        // node is mid-compute — the recorded interleaving depends on
-        // the schedule.
-        if let Some((q, _)) = s
-            .procs
-            .iter()
-            .enumerate()
-            .find(|&(q, proc)| self.node_of[q] as usize == n && proc.mid)
-        {
+        // AN-RACE-004, effective synchrony's SYNC-2: the accept lands
+        // while a user process on this node is mid-compute — the
+        // mailbox LWP ran although its owner had not blocked, and the
+        // recorded interleaving depends on the schedule.
+        let computing =
+            (0..s.procs.len()).find(|&q| self.node_of[q] as usize == n && s.procs[q].mid);
+        if let Some(q) = computing {
             hits.push(Hit {
                 code: "AN-RACE-004",
                 pair: (msg.from, q as u8),
@@ -569,15 +571,27 @@ impl RaceModel {
             t.procs[msg.from as usize].status = Status::Ready;
         }
         t.cpu[n] = Cpu::Idle;
-        Trans {
-            tid: Tid::Accept { node: n as u8 },
-            next: t,
-            label: format!(
+        let mut label = match computing {
+            Some(q) => format!(
+                "node {n}'s mailbox accepts {} while {} is still mid-compute — SYNC-2 \
+                 (effective synchrony) violated (AN-RACE-004)",
+                msg.describe(),
+                self.names[q]
+            ),
+            None => format!(
                 "node {n}'s mailbox accepts {} for {} (sender {} unblocks)",
                 msg.describe(),
                 self.names[dst as usize],
                 self.names[msg.from as usize]
             ),
+        };
+        if !sender_blocked {
+            label.push_str(" — SYNC-1 violated: the sender is NOT blocked in the send");
+        }
+        Trans {
+            tid: Tid::Accept { node: n as u8 },
+            next: t,
+            label,
             hits,
         }
     }
@@ -742,245 +756,90 @@ impl RaceModel {
         p as u8
     }
 
-    /// The resources a transition touches: (process mask, node mask,
-    /// touches-transit). Two transitions are independent when their
-    /// resource sets are disjoint.
-    fn touches(&self, s: &State, tid: Tid) -> (u32, u8, bool) {
-        match tid {
-            Tid::Arrive { from, .. } => {
-                // The shared transit pool plus the destination node's
-                // pending queue; blocking sends make `from` identify
-                // the message uniquely.
-                let node = s
-                    .transit
-                    .iter()
-                    .find(|&&(m, _)| m.from == from)
-                    .map(|&(_, d)| self.node_of[d as usize])
-                    .unwrap_or(0);
-                (0, 1 << node, true)
-            }
-            Tid::Dispatch { proc_ } => (1 << proc_, 1 << self.node_of[proc_ as usize], false),
-            Tid::DispatchMailbox { node } => (0, 1 << node, false),
-            Tid::PreemptMailbox { node, from } => (1 << from, 1 << node, false),
-            Tid::PreemptUser { node, from, to } => ((1 << from) | (1 << to), 1 << node, false),
-            Tid::Step { proc_ } => {
-                let p = proc_ as usize;
-                let mut procs = 1u32 << proc_;
-                let mut transit = false;
-                if s.procs[p].status == Status::Ready {
-                    match self.scripts[p].get(s.procs[p].pc as usize) {
-                        Some(Op::Send { .. }) => transit = true,
-                        Some(Op::Signal { p: q }) => procs |= 1 << q,
-                        _ => {}
-                    }
-                }
-                (procs, 1 << self.node_of[p], transit)
-            }
-            Tid::Accept { node } => {
-                let n = node as usize;
-                let procs = s.pending[n]
-                    .first()
-                    .map(|&(m, d)| (1u32 << d) | (1 << m.from))
-                    .unwrap_or(0);
-                (procs, 1 << node, false)
-            }
-        }
-    }
-
-    fn independent(&self, s: &State, a: Tid, b: Tid) -> bool {
-        let (pa, na, ta) = self.touches(s, a);
-        let (pb, nb, tb) = self.touches(s, b);
-        pa & pb == 0 && na & nb == 0 && !(ta && tb)
-    }
-
-    /// The singleton ample set, mirroring the scheduler model's: the
-    /// running user process's next step, when provably independent of
-    /// everything other processes could do first. Under preemption the
-    /// step additionally races with preemptions of its own CPU, so the
-    /// singleton needs the node message-isolated *and* no other
-    /// runnable process on it.
-    fn ample(&self, s: &State, send_masks: &[Vec<u8>]) -> Option<(usize, usize)> {
-        for n in 0..s.cpu.len() {
-            let Cpu::User(p) = s.cpu[n] else { continue };
-            let p = p as usize;
-            let local = match (
-                s.procs[p].status,
-                self.scripts[p].get(s.procs[p].pc as usize),
-            ) {
-                (Status::Ready, Some(Op::Signal { p: q })) => {
-                    self.node_of[*q as usize] as usize == n
-                }
-                _ => true,
-            };
-            if !local {
-                continue;
-            }
-            let safe = !self.preemptive
-                || (s.pending[n].is_empty()
-                    && s.transit
-                        .iter()
-                        .all(|&(_, dst)| self.node_of[dst as usize] as usize != n)
-                    && s.procs.iter().enumerate().all(|(q, proc)| {
-                        proc.status == Status::Done
-                            || send_masks[q][(proc.pc as usize).min(self.scripts[q].len())]
-                                & (1 << n)
-                                == 0
-                    })
-                    && s.procs.iter().enumerate().all(|(q, proc)| {
-                        q == p || self.node_of[q] as usize != n || !proc.status.runnable()
-                    }));
-            if safe {
-                return Some((n, p));
-            }
-        }
-        None
-    }
-
-    /// Explores the interleaving space (DFS, sleep sets over the ample
-    /// reduction), up to `max_states` distinct states.
+    /// Explores every interleaving breadth-first, up to `max_states`
+    /// distinct states: each reachable state is expanded once and every
+    /// enabled transition's predicates are checked, so the first
+    /// witness of each class is a shortest interleaving.
     pub fn explore(&self, max_states: usize) -> RaceVerdict {
-        self.explore_mode(max_states, true)
-    }
-
-    /// Explores without any reduction — every enabled transition from
-    /// every state, plain visited-set DFS. The differential oracle the
-    /// soundness tests compare [`RaceModel::explore`] against.
-    pub fn explore_full(&self, max_states: usize) -> RaceVerdict {
-        self.explore_mode(max_states, false)
-    }
-
-    fn explore_mode(&self, max_states: usize, reduced: bool) -> RaceVerdict {
-        let send_masks = self.future_send_masks();
         let mut verdict = RaceVerdict {
             states: 0,
             bounded: false,
-            sleep_skips: 0,
             accepts_checked: 0,
             witnesses: Vec::new(),
             occurrences: HashMap::new(),
             suppressed_receive_races: 0,
             completion_reachable: false,
+            no_stuck_states: true,
         };
-        // Sleep sets already explored per state; a new visit explores
-        // only if its sleep set is not a superset of a recorded one.
-        let mut visited: HashMap<State, Vec<BTreeSet<Tid>>> = HashMap::new();
-        let mut path: Vec<(Tid, String)> = Vec::new();
-        self.dfs(
-            self.initial(),
-            BTreeSet::new(),
-            &send_masks,
-            max_states,
-            reduced,
-            &mut visited,
-            &mut path,
-            &mut verdict,
-        );
-        verdict.states = visited.len();
+        let mut seen: HashSet<State, FixedHasher> = HashSet::default();
+        seen.insert(self.initial());
+        // Per discovered state, in discovery order: the state it was
+        // reached from and the transition taken (`None` for the root).
+        let mut parents: Vec<Option<(usize, Tid)>> = vec![None];
+        let mut queue = VecDeque::from([(self.initial(), 0usize)]);
+        while let Some((s, here)) = queue.pop_front() {
+            if s.procs.iter().all(|p| p.status == Status::Done) {
+                verdict.completion_reachable = true;
+                continue;
+            }
+            let trans = self.enabled(&s);
+            if trans.is_empty() {
+                verdict.no_stuck_states = false;
+            }
+            for t in trans {
+                if matches!(t.tid, Tid::Accept { .. }) {
+                    verdict.accepts_checked += 1;
+                }
+                for hit in &t.hits {
+                    self.record(hit, &parents, here, t.tid, &mut verdict);
+                }
+                if seen.contains(&t.next) {
+                    continue;
+                }
+                if seen.len() >= max_states {
+                    verdict.bounded = true;
+                    continue;
+                }
+                seen.insert(t.next.clone());
+                parents.push(Some((here, t.tid)));
+                queue.push_back((t.next, parents.len() - 1));
+            }
+        }
+        verdict.states = seen.len();
         verdict
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
+    /// Records a race hit on transition `last` out of state `here`:
+    /// counts every occurrence, keeps a witness for the first of each
+    /// class (per-channel receive-races are suppressed — counted
+    /// separately, never reported).
+    fn record(
         &self,
-        s: State,
-        sleep: BTreeSet<Tid>,
-        send_masks: &[Vec<u8>],
-        max_states: usize,
-        reduced: bool,
-        visited: &mut HashMap<State, Vec<BTreeSet<Tid>>>,
-        path: &mut Vec<(Tid, String)>,
+        hit: &Hit,
+        parents: &[Option<(usize, Tid)>],
+        here: usize,
+        last: Tid,
         verdict: &mut RaceVerdict,
     ) {
-        if visited.len() >= max_states {
-            verdict.bounded = true;
-            return;
-        }
-        if s.procs.iter().all(|p| p.status == Status::Done) {
-            verdict.completion_reachable = true;
-        }
-        match visited.get_mut(&s) {
-            Some(sleeps) => {
-                if sleeps.iter().any(|old| old.is_subset(&sleep)) {
-                    return;
-                }
-                sleeps.push(sleep.clone());
-            }
-            None => {
-                visited.insert(s.clone(), vec![sleep.clone()]);
-            }
-        }
-
-        let trans = self.enabled(&s);
-        let chosen: Vec<usize> = match if reduced {
-            self.ample(&s, send_masks)
-        } else {
-            None
-        } {
-            Some((_, p)) => {
-                let want = Tid::Step { proc_: p as u8 };
-                trans
-                    .iter()
-                    .position(|t| t.tid == want)
-                    .map(|i| vec![i])
-                    .unwrap_or_else(|| (0..trans.len()).collect())
-            }
-            None => (0..trans.len()).collect(),
-        };
-
-        let mut cur_sleep = sleep;
-        for i in chosen {
-            let t = &trans[i];
-            if reduced && cur_sleep.contains(&t.tid) {
-                verdict.sleep_skips += 1;
-                continue;
-            }
-            if matches!(t.tid, Tid::Accept { .. }) {
-                verdict.accepts_checked += 1;
-            }
-            for hit in &t.hits {
-                self.record(hit, t, path, verdict);
-            }
-            let child_sleep: BTreeSet<Tid> = if reduced {
-                cur_sleep
-                    .iter()
-                    .filter(|&&u| self.independent(&s, u, t.tid))
-                    .copied()
-                    .collect()
-            } else {
-                BTreeSet::new()
-            };
-            path.push((t.tid, t.label.clone()));
-            self.dfs(
-                t.next.clone(),
-                child_sleep,
-                send_masks,
-                max_states,
-                reduced,
-                visited,
-                path,
-                verdict,
-            );
-            path.pop();
-            if reduced {
-                cur_sleep.insert(t.tid);
-            }
-        }
-    }
-
-    /// Records a race hit: counts every occurrence, keeps a witness
-    /// for the first of each class (per-channel receive-races are
-    /// suppressed — counted separately, never reported).
-    fn record(&self, hit: &Hit, t: &Trans, path: &[(Tid, String)], verdict: &mut RaceVerdict) {
         if hit.code == "AN-RACE-001" && self.scope == OrderScope::PerChannel {
             verdict.suppressed_receive_races += 1;
             return;
         }
         *verdict.occurrences.entry(hit.code).or_insert(0) += 1;
         if verdict.witness(hit.code).is_none() {
-            let mut steps: Vec<String> = path.iter().map(|(_, l)| l.clone()).collect();
-            steps.push(t.label.clone());
-            let mut schedule: Vec<Tid> = path.iter().map(|(tid, _)| *tid).collect();
-            schedule.push(t.tid);
+            let mut schedule = vec![last];
+            let mut at = here;
+            while let Some((up, tid)) = parents[at] {
+                schedule.push(tid);
+                at = up;
+            }
+            schedule.reverse();
+            let steps = self
+                .walk(&schedule)
+                .expect("a discovered schedule replays")
+                .into_iter()
+                .map(|t| t.label)
+                .collect();
             verdict.witnesses.push(RaceWitness {
                 code: hit.code,
                 steps,
@@ -991,22 +850,31 @@ impl RaceModel {
         }
     }
 
+    /// Re-executes `schedule` from the initial state, returning the
+    /// transitions taken — `None` when a step is not enabled where the
+    /// schedule takes it.
+    fn walk(&self, schedule: &[Tid]) -> Option<Vec<Trans>> {
+        let mut s = self.initial();
+        let mut taken = Vec::with_capacity(schedule.len());
+        for tid in schedule {
+            let t = self.enabled(&s).into_iter().find(|t| t.tid == *tid)?;
+            s = t.next.clone();
+            taken.push(t);
+        }
+        Some(taken)
+    }
+
     /// Replays a witness schedule step by step, returning the race
     /// codes fired on the final transition — the machine check that a
-    /// witness is a real interleaving of this model, not an artifact
-    /// of the reduction.
+    /// witness is a real interleaving of this model.
     pub fn replay(&self, schedule: &[Tid]) -> Option<Vec<&'static str>> {
-        let mut s = self.initial();
-        let mut fired: Vec<&'static str> = Vec::new();
-        for (i, tid) in schedule.iter().enumerate() {
-            let trans = self.enabled(&s);
-            let t = trans.into_iter().find(|t| t.tid == *tid)?;
-            if i + 1 == schedule.len() {
-                fired = t.hits.iter().map(|h| h.code).collect();
-            }
-            s = t.next;
-        }
-        Some(fired)
+        let taken = self.walk(schedule)?;
+        Some(
+            taken
+                .last()
+                .map(|t| t.hits.iter().map(|h| h.code).collect())
+                .unwrap_or_default(),
+        )
     }
 
     /// The display name of process `p` (for diagnostics).
@@ -1021,9 +889,9 @@ impl RaceModel {
 /// proven order between them, and the engine must report them
 /// concurrent (`AN-HB-002`) without any ordering violation
 /// (`AN-HB-001` error). A witness whose racing pair the engine can
-/// order would be unsound — this is the machine check that the DPOR
-/// findings and the dynamic trace validator agree on what "unordered"
-/// means.
+/// order would be unsound — this is the machine check that the
+/// explorer's findings and the dynamic trace validator agree on what
+/// "unordered" means.
 pub fn hb_crosscheck(witness: &RaceWitness) -> Report {
     const RACE_POINT: u16 = 0x0450;
     const RACE_ACK: u16 = 0x0451;
@@ -1048,13 +916,6 @@ pub fn hb_crosscheck(witness: &RaceWitness) -> Report {
 pub fn witness_is_concurrent(witness: &RaceWitness) -> bool {
     let report = hb_crosscheck(witness);
     report.contains("AN-HB-002") && report.with_code("AN-HB-001").count() == 0
-}
-
-/// The race scope a workload's declared orders imply: per-channel when
-/// every edge is per-channel (the SPMD shape, where cross-worker
-/// interleaving at a shared mailbox is benign), global otherwise.
-pub fn scope_of_orders(orders: &[ProvenOrder]) -> OrderScope {
-    pipeline::dominant_scope(orders)
 }
 
 /// The four race classes, in code order, with their one-line stories.
@@ -1083,7 +944,12 @@ const RACE_CODES: [(&str, &str); 4] = [
 /// stay warnings — the pre-flight policies treat them as survivable by
 /// default; the `--strict` gate escalates them.
 pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> Report {
-    let v = model.explore(max_states);
+    race_report(model, &model.explore(max_states), subject)
+}
+
+/// Folds `model`'s verdict `v` into the `AN-RACE-*` diagnostics of
+/// [`check_race_model`].
+fn race_report(model: &RaceModel, v: &RaceVerdict, subject: &str) -> Report {
     let mut report = Report::new(subject.to_owned());
 
     for (code, story) in RACE_CODES {
@@ -1096,13 +962,11 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
                 let concurrent = witness_is_concurrent(w);
                 let mut d = Diagnostic::warning(code, story.to_owned())
                     .note(format!(
-                        "{} occurrence(s) over {} explored states ({} transitions pruned \
-                         by sleep sets{})",
+                        "{} occurrence(s) over {} explored states{}",
                         v.occurrences.get(code).copied().unwrap_or(0),
                         v.states,
-                        v.sleep_skips,
                         if v.bounded {
-                            "; exploration bounded"
+                            " (exploration bounded)"
                         } else {
                             ""
                         },
@@ -1142,8 +1006,8 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
                     code,
                     format!(
                         "{story}: proven absent over all {} reachable states ({} accepts \
-                         examined, {} transitions pruned by sleep sets)",
-                        v.states, v.accepts_checked, v.sleep_skips
+                         examined)",
+                        v.states, v.accepts_checked
                     ),
                 ));
             }
@@ -1162,30 +1026,34 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
     report
 }
 
+/// Explores a program version's communication shape, memoized per
+/// shape, scheduler toggle and budget. The effective-synchrony verdict
+/// ([`crate::model::check_sched`], `AN-MODEL-004`, `analyze
+/// --preemptive`) and [`check_races`] all read this one exploration, so
+/// its time lands in whichever of them asks first.
+pub fn explore_version(shape: SchedModel, max_states: usize) -> RaceVerdict {
+    static MEMO: Memo<(SchedModel, usize), RaceVerdict> = OnceLock::new();
+    memoized(&MEMO, (shape, max_states), |(shape, max_states)| {
+        RaceModel::version_shape(shape.master_agents, shape.servant_agents, shape.preemptive)
+            .explore(*max_states)
+    })
+}
+
 /// Race-checks a program version's communication shape under the given
-/// scheduler. The findings are memoized by shape — they depend only on
-/// the agent layout, the toggle, and the budget — and every report is
+/// scheduler, from the memoized [`explore_version`]; every report is
 /// titled with `app`'s own version.
 pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> Report {
-    type ShapeKey = (bool, bool, bool, usize);
-    static MEMO: Memo<ShapeKey, Vec<Finding>> = OnceLock::new();
     let scheduler = if preemptive {
         "preemptive"
     } else {
         "non-preemptive round-robin"
     };
-    let subject = format!("{} message races ({scheduler} scheduler)", app.version);
-    let key = (
-        app.version.master_agents(),
-        app.version.servant_agents(),
-        preemptive,
-        budget.race_states,
-    );
-    let findings = memoized(&MEMO, key, |&(master, servant, preemptive, states)| {
-        let model = RaceModel::version_shape(master, servant, preemptive);
-        check_race_model(&model, states, &subject).findings
-    });
-    Report { subject, findings }
+    let (master, servant) = (app.version.master_agents(), app.version.servant_agents());
+    race_report(
+        &RaceModel::version_shape(master, servant, preemptive),
+        &explore_version(SchedModel::of(app.version, preemptive), budget.sched_states),
+        &format!("{} message races ({scheduler} scheduler)", app.version),
+    )
 }
 
 #[cfg(test)]
@@ -1211,12 +1079,14 @@ mod tests {
 
     #[test]
     fn round_robin_is_race_free_for_every_version_shape() {
-        for (ma, sa) in shapes() {
+        // With the plain search's (states, accepts) pinned.
+        let counts = [(221, 17), (418, 30), (888, 46)];
+        for ((ma, sa), counts) in shapes().into_iter().zip(counts) {
             let v = RaceModel::version_shape(ma, sa, false).explore(1_000_000);
             assert!(!v.bounded, "({ma},{sa}) should close: {} states", v.states);
             assert!(v.race_free(), "({ma},{sa}): {:?}", v.witnesses);
             assert!(v.completion_reachable, "({ma},{sa})");
-            assert!(v.accepts_checked > 0);
+            assert_eq!((v.states, v.accepts_checked), counts, "({ma},{sa})");
         }
     }
 
@@ -1297,15 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn sleep_sets_prune_without_losing_verdicts() {
-        // The reduction must actually fire, and an unreduced DFS is
-        // not feasible to compare here — the differential check lives
-        // in the dpor_soundness suite against the scheduler model.
-        let v = RaceModel::version_shape(true, true, true).explore(4_000_000);
-        assert!(v.sleep_skips > 0, "sleep sets never fired");
-    }
-
-    #[test]
     fn check_races_reports_warnings_only_under_preemption() {
         let budget = ModelBudget::full();
         for version in Version::ALL {
@@ -1342,11 +1203,56 @@ mod tests {
     }
 
     #[test]
-    fn scope_of_orders_follows_the_workload_declaration() {
-        let ray = crate::model::proven_orders(&AppConfig::version(Version::V4));
-        assert_eq!(scope_of_orders(&ray), OrderScope::Global);
-        let spmd = [ProvenOrder::per_channel("a", 1, 2, "w")];
-        assert_eq!(scope_of_orders(&spmd), OrderScope::PerChannel);
-        assert_eq!(scope_of_orders(&[]), OrderScope::PerChannel);
+    fn preemptive_counts_and_witness_lengths_are_pinned() {
+        // (shape, states, AN-RACE-002/003/004 witness lengths); V3 and
+        // V4 share the both-agents shape. Breadth-first order makes
+        // every witness a shortest interleaving.
+        let preemptive = [
+            ((false, false), 368, [Some(9), None, Some(13)]),
+            ((true, false), 2_665, [Some(12), Some(6), Some(18)]),
+            ((true, true), 16_370, [Some(12), Some(6), Some(18)]),
+        ];
+        for ((ma, sa), states, lengths) in preemptive {
+            let v = RaceModel::version_shape(ma, sa, true).explore(1_000_000);
+            assert_eq!(v.states, states, "({ma},{sa})");
+            let found = ["AN-RACE-002", "AN-RACE-003", "AN-RACE-004"]
+                .map(|code| v.witness(code).map(|w| w.steps.len()));
+            assert_eq!(found, lengths, "({ma},{sa})");
+        }
+    }
+
+    #[test]
+    fn every_witness_replays_and_refires_its_class() {
+        let mut models: Vec<(String, RaceModel)> = Vec::new();
+        for (ma, sa) in shapes() {
+            for preemptive in [false, true] {
+                models.push((
+                    format!("version ({ma},{sa}) preemptive={preemptive}"),
+                    RaceModel::version_shape(ma, sa, preemptive),
+                ));
+            }
+        }
+        for preemptive in [false, true] {
+            models.push((
+                format!("spmd preemptive={preemptive}"),
+                RaceModel::spmd_shape(preemptive, OrderScope::Global),
+            ));
+        }
+        for (ctx, model) in models {
+            let v = model.explore(1_000_000);
+            assert!(!v.bounded, "{ctx}");
+            for w in &v.witnesses {
+                crate::model::testutil::assert_witness_well_formed(&w.steps);
+                assert_eq!(w.steps.len(), w.schedule.len(), "{ctx}: {}", w.code);
+                let fired = model
+                    .replay(&w.schedule)
+                    .unwrap_or_else(|| panic!("{ctx}: {} witness must replay", w.code));
+                assert!(
+                    fired.contains(&w.code),
+                    "{ctx}: {} replay fired {fired:?}",
+                    w.code
+                );
+            }
+        }
     }
 }

@@ -1,18 +1,17 @@
-//! Differential soundness tests for the partial-order reductions.
+//! Differential soundness tests for the flow model's partial-order
+//! reduction.
 //!
-//! Every reduced explorer in the analyzer ships with an unreduced
-//! twin (`explore_full`) that expands every enabled transition from
-//! every state. These tests pin the contract that makes the reductions
-//! trustworthy: on any configuration small enough to close both ways,
-//! the reduced exploration must reach exactly the same verdict as the
-//! full one — same deadlock reachability, same peak concurrency, same
-//! invariant results, same effective-synchrony outcome, same set of
-//! race classes — while visiting no more states.
+//! The flow explorer ships with an unreduced twin (`explore_full`)
+//! that expands every enabled transition from every state. These tests
+//! pin the contract that makes the reduction trustworthy: on any
+//! configuration small enough to close both ways, the reduced
+//! exploration must reach exactly the same verdict as the full one —
+//! same deadlock reachability, same peak concurrency, same invariant
+//! results — while visiting no more states. (The race explorer, which
+//! also yields the effective-synchrony verdict, searches plainly and
+//! needs no twin.)
 
 use analyzer::model::flow::FlowModel;
-use analyzer::model::sched::SchedModel;
-use analyzer::race::RaceModel;
-use analyzer::OrderScope;
 use proptest::prelude::*;
 
 /// A witness/counterexample path must be renderable: non-empty steps,
@@ -54,100 +53,6 @@ proptest! {
             assert_path_well_formed(path);
         }
         assert_path_well_formed(&reduced.peak_witness);
-    }
-}
-
-/// The scheduler model's singleton-ample reduction agrees with full
-/// exploration on every version shape, both scheduler variants.
-#[test]
-fn sched_reduction_agrees_with_full_exploration() {
-    for (ma, sa) in [(false, false), (true, false), (true, true)] {
-        for preemptive in [false, true] {
-            let model = SchedModel {
-                master_agents: ma,
-                servant_agents: sa,
-                preemptive,
-            };
-            let reduced = model.explore(4_000_000);
-            let full = model.explore_full(4_000_000);
-            let ctx = format!("shape ({ma},{sa}) preemptive={preemptive}");
-            assert!(!reduced.bounded && !full.bounded, "{ctx}");
-            assert_eq!(
-                reduced.effectively_synchronous(),
-                full.effectively_synchronous(),
-                "{ctx}"
-            );
-            assert_eq!(
-                reduced.sync1_violation.is_some(),
-                full.sync1_violation.is_some(),
-                "{ctx}"
-            );
-            assert_eq!(
-                reduced.sync2_violation.is_some(),
-                full.sync2_violation.is_some(),
-                "{ctx}"
-            );
-            assert_eq!(
-                reduced.completion_reachable, full.completion_reachable,
-                "{ctx}"
-            );
-            assert_eq!(reduced.no_stuck_states, full.no_stuck_states, "{ctx}");
-            assert!(reduced.states <= full.states, "{ctx}");
-            if let Some(path) = &reduced.sync2_violation {
-                assert_path_well_formed(path);
-            }
-        }
-    }
-}
-
-/// The race explorer's sleep sets + ample reduction finds exactly the
-/// same race classes as full exploration on every shape the analyzer
-/// ships, and never more states.
-#[test]
-fn race_reduction_agrees_with_full_exploration() {
-    let mut models: Vec<(String, RaceModel)> = Vec::new();
-    for (ma, sa) in [(false, false), (true, false), (true, true)] {
-        for preemptive in [false, true] {
-            models.push((
-                format!("version ({ma},{sa}) preemptive={preemptive}"),
-                RaceModel::version_shape(ma, sa, preemptive),
-            ));
-        }
-    }
-    for preemptive in [false, true] {
-        models.push((
-            format!("spmd preemptive={preemptive}"),
-            RaceModel::spmd_shape(preemptive, OrderScope::Global),
-        ));
-    }
-    for (ctx, model) in models {
-        let reduced = model.explore(10_000_000);
-        let full = model.explore_full(10_000_000);
-        assert!(!reduced.bounded && !full.bounded, "{ctx}");
-        let codes = |v: &analyzer::RaceVerdict| {
-            let mut c: Vec<&str> = v.witnesses.iter().map(|w| w.code).collect();
-            c.sort_unstable();
-            c
-        };
-        assert_eq!(codes(&reduced), codes(&full), "{ctx}");
-        assert_eq!(
-            reduced.completion_reachable, full.completion_reachable,
-            "{ctx}"
-        );
-        assert!(reduced.states <= full.states, "{ctx}");
-        // Every reduced witness is a real interleaving: its schedule
-        // replays and refires the same race class.
-        for w in &reduced.witnesses {
-            assert_path_well_formed(&w.steps);
-            let fired = model
-                .replay(&w.schedule)
-                .unwrap_or_else(|| panic!("{ctx}: {} witness must replay", w.code));
-            assert!(
-                fired.contains(&w.code),
-                "{ctx}: {} replay fired {fired:?}",
-                w.code
-            );
-        }
     }
 }
 

@@ -51,10 +51,10 @@ fn stock_version_reports_match_their_goldens() {
 
 #[test]
 fn preemptive_race_reports_match_their_goldens() {
-    // The `analyze --races --preemptive` section: the DPOR explorer's
-    // witnesses are produced by a DFS over a fixed successor order, so
-    // the whole report — including every witness interleaving — is
-    // deterministic and snapshot-worthy.
+    // The `analyze --races --preemptive` section: the explorer's
+    // witnesses are produced by a breadth-first search over a fixed
+    // successor order, so the whole report — including every witness
+    // interleaving — is deterministic and snapshot-worthy.
     let budget = ModelBudget::full();
     for (i, version) in Version::ALL.iter().enumerate() {
         let report = check_races(&AppConfig::version(*version), &budget, true);

@@ -43,7 +43,7 @@
 //! recorded trace against the protocol model checker's proven orderings
 //! with the happens-before engine. `ANALYZER_POLICY=off|warn|deny`
 //! overrides each run's pre-flight policy; denied runs are all reported
-//! before the command fails. `--races` adds the DPOR race cross-check:
+//! before the command fails. `--races` adds the race cross-check:
 //! every `AN-RACE-*` witness must replay against the model and be
 //! confirmed concurrent by the vector-clock engine, and a dynamic race
 //! in a statically race-free shape fails verification. Each run also
@@ -107,7 +107,7 @@ schema version are refused.
 verify executes a sweep (default smoke) and checks every trace against
 the model checker's proven orderings and the structural layer's
 P-invariant credit certificates (ANALYZER_POLICY=off|warn|deny
-overrides the per-run pre-flight policy); --races adds the DPOR race
+overrides the per-run pre-flight policy); --races adds the race
 cross-check with witness replay and vector-clock confirmation.
 
 sweeps: fig10, bundle, window, seeds, smoke, jacobi, scaling, sched";

@@ -16,7 +16,7 @@
 //!
 //! With races enabled ([`VerifyOptions::races`], `harness verify
 //! --races`), each executed run additionally gets a race cross-check:
-//! the DPOR explorer runs over the run's communication shape, every
+//! the race explorer runs over the run's communication shape, every
 //! `AN-RACE-*` witness interleaving is replayed against the model and
 //! confirmed concurrent by the vector-clock engine, and the dynamic
 //! trace is reconciled with the static verdict — a recorded
@@ -42,7 +42,7 @@ use crate::Sweep;
 /// Knobs for a verification pass.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
-    /// Run the DPOR race cross-check on every executed run.
+    /// Run the race cross-check on every executed run.
     pub races: bool,
     /// Re-run every job under this scheduling policy instead of the one
     /// its sweep baked in (the CLI's `verify --scheduler`). The
@@ -342,13 +342,11 @@ fn race_crosscheck(
         None => {
             let scope = pipeline::dominant_scope(orders);
             let model = RaceModel::spmd_shape(false, scope);
-            let mut r = check_race_model(
+            check_race_model(
                 &model,
-                budget.race_states,
+                budget.sched_states,
                 &format!("{} race cross-check (SPMD shape)", spec.label),
-            );
-            r.subject = format!("{} race cross-check (SPMD shape)", spec.label);
-            r
+            )
         }
     };
 

@@ -90,3 +90,25 @@ impl OrderEdge {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Workload;
+
+    #[test]
+    fn dominant_scope_follows_the_workload_declaration() {
+        // The ray tracer declares globally matched job-id edges; one
+        // such edge makes the whole workload's scope global.
+        let ray = [
+            OrderEdge::global("job-sent-before-work", 1, 2, "blocking send"),
+            OrderEdge::global("work-before-result-received", 2, 3, "blocking send"),
+        ];
+        assert_eq!(dominant_scope(&ray), OrderScope::Global);
+        let mixed = [ray[0], OrderEdge::per_channel("a", 1, 2, "w")];
+        assert_eq!(dominant_scope(&mixed), OrderScope::Global);
+        let spmd = crate::jacobi::JacobiConfig::default().proven_orders();
+        assert_eq!(dominant_scope(&spmd), OrderScope::PerChannel);
+        assert_eq!(dominant_scope(&[]), OrderScope::PerChannel);
+    }
+}

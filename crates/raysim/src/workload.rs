@@ -30,7 +30,7 @@ pub struct RenderOutput {
 }
 
 /// The orderings guaranteed by message causality and the blocking
-/// mailbox protocol, as witnessed by the analyzer's scheduler model: a
+/// mailbox protocol, as witnessed by the analyzer's interleaving search: a
 /// message is accepted only after its send began, so each job's
 /// instrumentation points are totally ordered across nodes. Jobs are
 /// matched globally by the job id in the event parameter — one job id
