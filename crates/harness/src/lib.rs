@@ -180,6 +180,10 @@ pub struct RunRecord {
     /// hex-encoded. Bit-identical across worker counts and across runs
     /// of the same configuration.
     pub trace_digest: String,
+    /// The digest's state after the first 2^10, 2^11, … trace events
+    /// (see [`trace_digest_prefixes`]), so a moved digest can be
+    /// located. Additive schema-4 field — absent in older artifacts.
+    pub digest_prefixes: Vec<String>,
     /// Work units the application completed (ray jobs sent, Jacobi
     /// strips relaxed, …) — the workload defines the unit.
     pub work_units: u64,
@@ -218,6 +222,9 @@ pub struct ArtifactRun {
     /// The run's trace digest — must match across artifacts of the same
     /// configuration, or the comparison is meaningless.
     pub trace_digest: String,
+    /// The digest's prefix states (see [`trace_digest_prefixes`]).
+    /// Additive schema-4 field — `None` when the artifact predates it.
+    pub digest_prefixes: Option<Vec<String>>,
     /// Engine throughput, events per wall-clock second.
     pub events_per_sec: f64,
     /// Engine wall time, milliseconds.
@@ -239,8 +246,9 @@ pub struct ArtifactRun {
 ///
 /// `label`, `trace_digest`, `events_per_sec` and `wall_ms` are required.
 /// Absent additive schema-4 fields read as their documented defaults
-/// (`analysis_*` as 0, `scheduler` as `"rr"`), and fields the reader
-/// does not use (such as the retired `shards`) are ignored.
+/// (`analysis_*` as 0, `scheduler` as `"rr"`, `digest_prefixes` as
+/// `None`), and fields the reader does not use (such as the retired
+/// `shards`) are ignored.
 ///
 /// # Errors
 ///
@@ -293,9 +301,20 @@ fn artifact_run(run: &Value) -> Result<ArtifactRun, String> {
         run.get(key)
             .map_or(Ok(0), |v| v.as_u64().ok_or_else(|| malformed(key, v)))
     };
+    let digest_prefixes = run
+        .get("digest_prefixes")
+        .map(|v| {
+            v.as_array()
+                .ok_or_else(|| malformed("digest_prefixes", v))?
+                .iter()
+                .map(|p| text("digest_prefixes", p))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .transpose()?;
     Ok(ArtifactRun {
         label: label.to_owned(),
         trace_digest: field("trace_digest").and_then(|v| text("trace_digest", v))?,
+        digest_prefixes,
         events_per_sec: float("events_per_sec")?,
         wall_ms: float("wall_ms")?,
         analysis_counts: (
@@ -382,8 +401,11 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
         if b.trace_digest != c.trace_digest {
             errors.push(format!(
                 "run '{}' digest {} != baseline {} — different simulated behaviour, \
-                 throughput comparison is invalid",
-                b.label, c.trace_digest, b.trace_digest
+                 throughput comparison is invalid{}",
+                b.label,
+                c.trace_digest,
+                b.trace_digest,
+                divergence(b.digest_prefixes.as_deref(), c.digest_prefixes.as_deref())
             ));
             continue;
         }
@@ -451,6 +473,36 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
     }
 }
 
+/// Where two runs' digests part, from their prefix states: the last
+/// power of two of events both share, as a clause for the refusal.
+/// Empty when either artifact predates the prefixes.
+fn divergence(base: Option<&[String]>, cand: Option<&[String]>) -> String {
+    let (Some(base), Some(cand)) = (base, cand) else {
+        return String::new();
+    };
+    let shared = base.iter().zip(cand).take_while(|(b, c)| b == c).count();
+    // Every prefix matches and neither trace reaches a further power of
+    // two: the difference is in the events after the last prefix, or in
+    // the outcome folded after the events.
+    let all_shared = shared == base.len() && shared == cand.len();
+    match (shared.checked_sub(1), all_shared) {
+        (None, false) => format!("; diverged within the first 2^{FIRST_PREFIX_LOG2} events"),
+        (None, true) => format!(
+            "; the difference is in the first 2^{FIRST_PREFIX_LOG2} events or in the run's outcome"
+        ),
+        (Some(last), false) => {
+            let k = FIRST_PREFIX_LOG2 as usize + last;
+            format!("; same first 2^{k} events, diverged before 2^{}", k + 1)
+        }
+        (Some(last), true) => {
+            let k = FIRST_PREFIX_LOG2 as usize + last;
+            format!(
+                "; same first 2^{k} events (the difference is after them or in the run's outcome)"
+            )
+        }
+    }
+}
+
 /// The digest of a run: every merged trace event plus the outcome.
 /// Wall-clock time and host-side derived floats are deliberately
 /// excluded — the digest must depend only on simulated behaviour.
@@ -459,17 +511,57 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
 /// harness (e.g. straight from `pipeline::run_workload`) and compare
 /// them against committed goldens.
 pub fn trace_digest(trace: &Trace, end_ns: u64, reason: RunEnd, events: u64) -> String {
+    format!(
+        "{:016x}",
+        fold_digest(trace, end_ns, reason, events, |_| {})
+    )
+}
+
+/// The log2 of the first prefix [`trace_digest_prefixes`] keeps.
+const FIRST_PREFIX_LOG2: u32 = 10;
+
+/// [`trace_digest`] and, from the same pass, the digest's state after
+/// the first 2^10, 2^11, … trace events, for every such power of two
+/// the trace reaches, hex-encoded like the digest. Two runs share the
+/// prefixes up to the last power of two at or before their first
+/// differing event.
+pub fn trace_digest_prefixes(
+    trace: &Trace,
+    end_ns: u64,
+    reason: RunEnd,
+    events: u64,
+) -> (String, Vec<String>) {
+    let mut prefixes = Vec::new();
+    let digest = fold_digest(trace, end_ns, reason, events, |state| {
+        prefixes.push(format!("{state:016x}"));
+    });
+    (format!("{digest:016x}"), prefixes)
+}
+
+/// Folds a run into its digest, handing `prefix` the state after each
+/// power-of-two count of events from 2^10 on.
+fn fold_digest(
+    trace: &Trace,
+    end_ns: u64,
+    reason: RunEnd,
+    events: u64,
+    mut prefix: impl FnMut(u64),
+) -> u64 {
     let mut h = Fnv64::new();
-    for e in trace.events() {
+    for (i, e) in trace.events().iter().enumerate() {
         h.write_u64(e.ts_ns);
         h.write_u64(e.channel as u64);
         h.write_u64(u64::from(e.token.value()));
         h.write_u64(u64::from(e.param.value()));
+        let folded = i + 1;
+        if folded >> FIRST_PREFIX_LOG2 != 0 && folded.is_power_of_two() {
+            prefix(h.finish());
+        }
     }
     h.write_u64(end_ns);
     h.write_u64(reason as u64);
     h.write_u64(events);
-    format!("{:016x}", h.finish())
+    h.finish()
 }
 
 /// Executes one spec on the calling thread and derives its record.
@@ -484,6 +576,12 @@ pub fn execute(spec: &RunSpec) -> RunRecord {
     // regardless of scene scale, so folding it into throughput would
     // punish short runs and mask engine regressions.
     let wall_ms = (total_ms - analysis_ms).max(0.0);
+    let (trace_digest, digest_prefixes) = trace_digest_prefixes(
+        &run.trace,
+        run.outcome.end.as_nanos(),
+        run.outcome.reason,
+        run.outcome.events,
+    );
 
     RunRecord {
         label: spec.label.clone(),
@@ -507,12 +605,8 @@ pub fn execute(spec: &RunSpec) -> RunRecord {
         engine_shards: run.engine_shards,
         scheduler: run.scheduler.name(),
         trace_events: run.trace.len(),
-        trace_digest: trace_digest(
-            &run.trace,
-            run.outcome.end.as_nanos(),
-            run.outcome.reason,
-            run.outcome.events,
-        ),
+        trace_digest,
+        digest_prefixes,
         work_units: run.metrics.work_units,
         utilization_percent: run.metrics.utilization_percent,
         steady_percent: run.metrics.steady_percent,
@@ -530,40 +624,73 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
+/// Finished runs of a sweep, and their pre-flight reports until the
+/// runs before them have printed theirs.
+struct Finished {
+    records: Vec<Option<RunRecord>>,
+    reports: Vec<Option<String>>,
+    /// The first run whose reports are not printed yet.
+    next: usize,
+}
+
 /// Runs every spec of `sweep` across `workers` OS threads and collects
 /// the records in spec order.
 ///
 /// Each simulation is single-threaded and seed-deterministic; the pool
 /// only decides *which thread* hosts a run, never its event order, so
 /// the records (and in particular their trace digests) are bit-identical
-/// for any `workers >= 1`.
+/// for any `workers >= 1`. The runs' pre-flight reports go to stderr in
+/// spec order too (see [`pipeline::hold_reports`]), so stderr is
+/// byte-identical for any worker count; a report that refuses its run
+/// prints at once.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero, or if a worker thread panics (a
-/// simulation protocol violation — see `raysim::diag`).
+/// Panics if `workers` is zero, or if a run panics (a simulation
+/// protocol violation — see `raysim::diag` — or a refused pre-flight),
+/// once the other workers have finished; the reports of every run that
+/// ran, the panicking one included, still print in spec order.
 pub fn run_sweep(sweep: &Sweep, workers: usize) -> SweepReport {
     assert!(workers > 0, "sweep needs at least one worker thread");
     let workers = workers.min(sweep.runs.len()).max(1);
 
     let jobs: Mutex<VecDeque<(usize, &RunSpec)>> =
         Mutex::new(sweep.runs.iter().enumerate().collect());
-    let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; sweep.runs.len()]);
+    let finished = Mutex::new(Finished {
+        records: vec![None; sweep.runs.len()],
+        reports: vec![None; sweep.runs.len()],
+        next: 0,
+    });
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let job = jobs.lock().expect("job queue poisoned").pop_front();
                 let Some((idx, spec)) = job else { break };
-                let record = execute(spec);
-                results.lock().expect("result store poisoned")[idx] = Some(record);
+                let (run, reports) = pipeline::hold_reports(|| execute(spec));
+                let mut guard = finished.lock().expect("result store poisoned");
+                let done = &mut *guard;
+                done.reports[idx] = Some(reports);
+                while let Some(reports) = done.reports.get_mut(done.next).and_then(Option::take) {
+                    eprint!("{reports}");
+                    done.next += 1;
+                }
+                match run {
+                    Ok(record) => done.records[idx] = Some(record),
+                    // Its reports print in turn; the panic goes on.
+                    Err(panic) => {
+                        drop(guard);
+                        std::panic::resume_unwind(panic);
+                    }
+                }
             });
         }
     });
 
-    let records = results
+    let records = finished
         .into_inner()
         .expect("result store poisoned")
+        .records
         .into_iter()
         .map(|r| r.expect("every job executed"))
         .collect();
@@ -636,6 +763,10 @@ impl SweepReport {
                     ("scheduler", r.scheduler.as_str().into()),
                     ("trace_events", r.trace_events.into()),
                     ("trace_digest", r.trace_digest.as_str().into()),
+                    (
+                        "digest_prefixes",
+                        r.digest_prefixes.iter().map(String::as_str).collect(),
+                    ),
                     ("work_units", r.work_units.into()),
                     ("utilization_percent", r.utilization_percent.into()),
                     ("steady_percent", r.steady_percent.into()),
@@ -648,10 +779,11 @@ impl SweepReport {
 
         // Schema 4: run objects gained "analysis_ms", and
         // "wall_ms"/"events_per_sec" became engine-only (pre-flight
-        // analysis time excluded). "engine_shards" and the
+        // analysis time excluded). "engine_shards", the
         // "analysis_errors"/"analysis_warnings"/"analysis_infos"
-        // per-severity finding counts are additive schema-4 fields
-        // (absent reads as 1 / 0 / 0 / 0); the monitor-shard count
+        // per-severity finding counts and "digest_prefixes" are
+        // additive schema-4 fields (absent reads as 1 / 0 / 0 / 0 /
+        // empty); the monitor-shard count
         // "shards" was written until the monitor plane lost its threads
         // and is ignored on read. Schema 3: run objects gained
         // "workload" and renamed "jobs_sent" to the workload-agnostic
@@ -907,6 +1039,73 @@ mod tests {
         }
     }
 
+    /// Set in the child process of [`a_panicking_run_keeps_every_report`].
+    const PANIC_CHILD: &str = "HARNESS_TEST_PANICKING_SWEEP";
+
+    fn warns(cfg: &PipelineConfig<JacobiConfig>) -> pipeline::PreflightSummary {
+        pipeline::PreflightSummary {
+            warnings: 1,
+            rendered: format!("warning[TEST]: {} iterations\n", cfg.workload.iterations),
+            ..pipeline::PreflightSummary::default()
+        }
+    }
+
+    /// A run that panics after its pre-flight keeps its held report, and
+    /// the run after it keeps its own. The sweep runs in a child process,
+    /// whose stderr is the evidence: its first run warns and then panics
+    /// (zero iterations fail validation after the pre-flight), its second
+    /// warns and completes on the other worker.
+    #[test]
+    fn a_panicking_run_keeps_every_report() {
+        if std::env::var_os(PANIC_CHILD).is_some() {
+            let spec = |iterations| {
+                let mut cfg = PipelineConfig::new(JacobiConfig {
+                    workers: 2,
+                    cells_per_worker: 8,
+                    iterations: 5,
+                    ..JacobiConfig::default()
+                });
+                cfg.workload.iterations = iterations;
+                cfg.preflight = pipeline::Preflight::warn(warns);
+                RunSpec {
+                    label: format!("i{iterations}"),
+                    job: Job::new(cfg),
+                    version: None,
+                    app: None,
+                    paper_percent: None,
+                    faults: None,
+                }
+            };
+            let runs = vec![spec(0), spec(5)];
+            run_sweep(
+                &Sweep {
+                    name: "panics".into(),
+                    runs,
+                },
+                2,
+            );
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::a_panicking_run_keeps_every_report"])
+            .arg("--nocapture")
+            .env(PANIC_CHILD, "1")
+            .output()
+            .expect("the test binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "the sweep re-raises the panic: {stderr}"
+        );
+        assert!(stderr.contains("iterations must be at least 1"), "{stderr}");
+        let first = stderr.find("warning[TEST]: 0 iterations");
+        let second = stderr.find("warning[TEST]: 5 iterations");
+        assert!(
+            matches!((first, second), (Some(a), Some(b)) if a < b),
+            "both reports, in spec order: {stderr}"
+        );
+    }
+
     #[test]
     fn completed_run_yields_full_record() {
         let rec = execute(&tiny_spec("ok", 7, 600_000));
@@ -1115,6 +1314,114 @@ mod tests {
             errs[0].starts_with("run 'a' digest bbbbbbbbbbbbbbbb != baseline aaaaaaaaaaaaaaaa"),
             "{errs:?}"
         );
+    }
+
+    /// One changed event moves exactly the prefixes that hold it: the
+    /// state after 2^k events moves when the event's index is below 2^k.
+    #[test]
+    fn one_changed_event_moves_the_prefixes_from_its_power_of_two_on() {
+        use simple::Event;
+        let events: Vec<Event> = (0..5_000u64)
+            .map(|i| Event::new(i, (i % 3) as usize, 1, i as u32))
+            .collect();
+        let digest = |events: &[Event]| {
+            let trace = Trace::from_events(events.to_vec()).unwrap();
+            trace_digest_prefixes(&trace, 9, RunEnd::Completed, 7)
+        };
+        let (base, base_prefixes) = digest(&events);
+        let trace = Trace::from_events(events.clone()).unwrap();
+        assert_eq!(base, trace_digest(&trace, 9, RunEnd::Completed, 7));
+        assert_eq!(base_prefixes.len(), 3, "after 2^10, 2^11 and 2^12 events");
+        // The outcome is folded after the events: it moves the digest
+        // and no prefix.
+        let trace = Trace::from_events(events.clone()).unwrap();
+        let (outcome, prefixes) = trace_digest_prefixes(&trace, 9, RunEnd::Completed, 8);
+        assert_ne!(outcome, base);
+        assert_eq!(prefixes, base_prefixes);
+        for changed in [0, 1_023, 1_024, 2_047, 2_048, 4_095, 4_096, 4_999] {
+            let mut moved = events.clone();
+            moved[changed] = Event::new(changed as u64, 0, 1, u32::MAX);
+            let (digest, prefixes) = digest(&moved);
+            assert_ne!(digest, base);
+            for (k, (a, b)) in base_prefixes.iter().zip(&prefixes).enumerate() {
+                let holds_it = changed < 1 << (10 + k);
+                assert_eq!(a != b, holds_it, "event {changed}, prefix 2^{}", 10 + k);
+            }
+        }
+    }
+
+    /// A refused digest names the last power of two of events both
+    /// runs share, when both artifacts carry prefixes.
+    #[test]
+    fn compare_locates_a_moved_digest() {
+        let with_prefixes = |digest: &str, prefixes: &[&str]| {
+            let run = Value::object([
+                ("label", "a".into()),
+                ("trace_digest", digest.into()),
+                ("digest_prefixes", prefixes.iter().copied().collect()),
+                ("wall_ms", 2.5.into()),
+                ("events_per_sec", 1000u64.into()),
+            ]);
+            let root = Value::object([
+                ("schema_version", SCHEMA_VERSION.into()),
+                ("runs", [run].into_iter().collect()),
+            ]);
+            format!("{root}\n")
+        };
+        let base = with_prefixes("aaaaaaaaaaaaaaaa", &["01", "02", "03"]);
+        let moved = with_prefixes("bbbbbbbbbbbbbbbb", &["01", "02", "f3"]);
+        let errs = compare_artifacts(&base, &moved).unwrap_err();
+        assert!(
+            errs[0].ends_with("; same first 2^11 events, diverged before 2^12"),
+            "{errs:?}"
+        );
+        let early = with_prefixes("bbbbbbbbbbbbbbbb", &["f1", "f2", "f3"]);
+        let errs = compare_artifacts(&base, &early).unwrap_err();
+        assert!(
+            errs[0].ends_with("; diverged within the first 2^10 events"),
+            "{errs:?}"
+        );
+        // A shorter trace shares every prefix it has; one shorter than
+        // 2^10 events has none.
+        let short = with_prefixes("bbbbbbbbbbbbbbbb", &["01"]);
+        let errs = compare_artifacts(&base, &short).unwrap_err();
+        assert!(
+            errs[0].ends_with("; same first 2^10 events, diverged before 2^11"),
+            "{errs:?}"
+        );
+        let tiny = with_prefixes("bbbbbbbbbbbbbbbb", &[]);
+        let errs = compare_artifacts(&base, &tiny).unwrap_err();
+        assert!(
+            errs[0].ends_with("; diverged within the first 2^10 events"),
+            "{errs:?}"
+        );
+        // Every prefix matches: the events after the last one, or the
+        // outcome (end time, reason, kernel event count), differ.
+        let outcome = with_prefixes("bbbbbbbbbbbbbbbb", &["01", "02", "03"]);
+        let errs = compare_artifacts(&base, &outcome).unwrap_err();
+        assert!(
+            errs[0].ends_with(
+                "; same first 2^12 events (the difference is after them or in the run's outcome)"
+            ),
+            "{errs:?}"
+        );
+        let errs = compare_artifacts(&tiny, &with_prefixes("cccccccccccccccc", &[])).unwrap_err();
+        assert!(
+            errs[0]
+                .ends_with("; the difference is in the first 2^10 events or in the run's outcome"),
+            "{errs:?}"
+        );
+        // An artifact without prefixes still compares, without a locator.
+        let old = fixture(&[("a", "bbbbbbbbbbbbbbbb")]);
+        let errs = compare_artifacts(&base, &old).unwrap_err();
+        assert!(errs[0].ends_with("comparison is invalid"), "{errs:?}");
+        let prefixes = |text: &str| {
+            parse_artifact_runs(text).unwrap()[0]
+                .digest_prefixes
+                .clone()
+        };
+        assert_eq!(prefixes(&base).map(|p| p.len()), Some(3));
+        assert_eq!(prefixes(&old), None);
     }
 
     #[test]

@@ -8,7 +8,38 @@
 
 use std::collections::HashMap;
 
-use harness::{run_sweep, sweeps, Scale};
+use harness::{run_sweep, sweeps, RunRecord, Scale, SweepReport};
+
+/// A run's utilization as a golden line: `label`, then the
+/// `f64::to_bits` hex of `utilization_percent` and of `steady_percent`,
+/// `-` where the value is absent.
+fn utilization_line(r: &RunRecord) -> String {
+    let bits = |v: Option<f64>| v.map_or("-".to_owned(), |v| format!("{:016x}", v.to_bits()));
+    format!(
+        "{} {} {}",
+        r.label,
+        bits(r.utilization_percent),
+        bits(r.steady_percent)
+    )
+}
+
+/// Holds every run of `report` to its line in `golden/utilization.txt`,
+/// bit for bit. The file pools the rows of every sweep this file runs.
+fn check_utilization(report: &SweepReport) {
+    let golden: HashMap<&str, &str> = include_str!("golden/utilization.txt")
+        .lines()
+        .filter_map(|l| l.split_once(' '))
+        .collect();
+    for rec in &report.records {
+        let line = utilization_line(rec);
+        let (label, bits) = line.split_once(' ').expect("a label and two values");
+        assert_eq!(
+            golden.get(label),
+            Some(&bits),
+            "run '{label}' utilization moved from its golden bits"
+        );
+    }
+}
 
 /// The smoke sweep through the job queue must reproduce the
 /// pre-refactor goldens exactly — labels, digest recipe, and digest
@@ -26,6 +57,7 @@ fn smoke_digests_match_the_pre_refactor_goldens() {
                 errors.join("\n")
             )
         });
+    check_utilization(&report);
 }
 
 /// The paper-scale fig10 ladder (128×128, 15 servants) must also
@@ -50,6 +82,7 @@ fn fig10_digests_match_the_bench_goldens() {
             rec.label
         );
     }
+    check_utilization(&report);
 }
 
 /// The Jacobi sweep — the second workload through the same pipeline —
@@ -63,6 +96,7 @@ fn jacobi_digests_match_the_committed_goldens() {
     report
         .check_digests(include_str!("golden/jacobi_digests.txt"))
         .unwrap_or_else(|errors| panic!("jacobi sweep digests drifted:\n{}", errors.join("\n")));
+    check_utilization(&report);
 }
 
 /// The scheduler sweep — four node-scheduler policies over V1–V4 and
@@ -76,6 +110,7 @@ fn sched_digests_match_the_committed_goldens() {
     report
         .check_digests(include_str!("golden/sched_digests.txt"))
         .unwrap_or_else(|errors| panic!("sched sweep digests drifted:\n{}", errors.join("\n")));
+    check_utilization(&report);
 }
 
 /// The scaling sweep — 16/32/64-node ladders spanning one to four
@@ -99,4 +134,5 @@ fn scaling_digests_match_the_sequential_goldens_when_threaded() {
                 errors.join("\n")
             )
         });
+    check_utilization(&report);
 }

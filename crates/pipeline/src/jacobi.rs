@@ -23,7 +23,7 @@
 use std::sync::{Arc, Mutex};
 
 use des::time::SimDuration;
-use simple::{ActivityModel, Trace};
+use simple::{channel_activity, ActivityModel, Trace};
 use suprenum::{Action, Machine, Message, NodeId, ProcCtx, Process, ProcessId, Resume};
 
 use crate::{Harvest, OrderEdge, RunMetrics, TokenDecl, Workload};
@@ -156,16 +156,23 @@ impl Workload for JacobiConfig {
             .filter(|e| e.token.value() == COMPUTE_BEGIN)
             .count() as u64;
         let utilization_percent = (!truncated).then(|| {
-            let model = worker_activity_model();
+            // Each worker's busy share of its own track's span, unclipped
+            // (the window is the whole time axis); the tracks close at
+            // the trace's end.
             let (_, end_ns) = trace.span();
+            let lanes = channel_activity(
+                trace.events(),
+                &worker_activity_model(),
+                &["Compute", "Exchange"],
+                1..self.workers as usize + 1,
+                (0, u64::MAX),
+                end_ns,
+            );
             let mut sum = 0.0;
-            for worker in 1..=self.workers as usize {
-                let lane = trace.channel(worker);
-                let track = model.derive_track("worker", lane.events().iter(), end_ns);
-                let (start, end) = track.span();
-                let busy = track.time_in_state("Compute") + track.time_in_state("Exchange");
+            for lane in lanes {
+                let (start, end) = lane.span;
                 sum += if end > start {
-                    100.0 * busy as f64 / (end - start) as f64
+                    100.0 * lane.in_states_ns as f64 / (end - start) as f64
                 } else {
                     0.0
                 };
@@ -559,6 +566,33 @@ mod tests {
             "left end should approach the hot boundary"
         );
         assert!(*r.solution.last().unwrap() < 0.2);
+    }
+
+    /// The one-pass utilization equals the mean busy share of the
+    /// derived worker tracks, bit for bit.
+    #[test]
+    fn utilization_matches_the_derived_tracks() {
+        let cfg = JacobiConfig {
+            workers: 4,
+            iterations: 12,
+            ..JacobiConfig::default()
+        };
+        let r = run_seeded(cfg.clone(), 3);
+        let model = worker_activity_model();
+        let mut sum = 0.0;
+        for worker in 1..=4usize {
+            let track = model.derive_track(
+                "worker",
+                r.trace.channel(worker).events().iter(),
+                r.trace.span().1,
+            );
+            let (start, end) = track.span();
+            let busy = track.time_in_state("Compute") + track.time_in_state("Exchange");
+            sum += 100.0 * busy as f64 / (end - start) as f64;
+        }
+        let reference = sum / 4.0;
+        let measured = r.metrics(&cfg).utilization_percent.unwrap();
+        assert_eq!(measured.to_bits(), reference.to_bits());
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub use fault::FaultConfig;
 pub use job::{ExecOverrides, Job, JobRun};
 pub use order::{dominant_scope, OrderEdge, OrderScope};
 pub use preflight::{
-    try_preflight, PolicyMode, Preflight, PreflightDenied, PreflightHook, PreflightSummary,
+    hold_reports, try_preflight, PolicyMode, Preflight, PreflightDenied, PreflightHook,
+    PreflightSummary,
 };
 pub use trace::to_simple_trace;
 

@@ -8,7 +8,33 @@
 //! measurements, where version 3's queue bug must execute to be
 //! measured), or refuse the run (`Deny`).
 
+use std::cell::RefCell;
+use std::panic::{self, AssertUnwindSafe};
+
 use crate::{PipelineConfig, Workload};
+
+thread_local! {
+    /// The pre-flight reports [`hold_reports`] is holding back on this
+    /// thread, or `None` while they print as they come.
+    static HELD: RefCell<Option<String>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with this thread's pre-flight reports held back, and returns
+/// its outcome with them: the text [`try_preflight`] would have printed
+/// to stderr meanwhile. A harness that runs jobs on several threads
+/// prints each job's reports after those of the jobs before it, so its
+/// stderr does not depend on which job finishes first. A report that
+/// refuses its run is never held: it prints at once.
+///
+/// A panic in `f` is caught and returned as the outcome's `Err`, so the
+/// reports held until then are never lost; the caller prints them and
+/// then resumes the panic.
+pub fn hold_reports<R>(f: impl FnOnce() -> R) -> (std::thread::Result<R>, String) {
+    let outer = HELD.with(|held| held.replace(Some(String::new())));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+    let reports = HELD.with(|held| held.replace(outer)).unwrap_or_default();
+    (outcome, reports)
+}
 
 /// What a pre-flight analysis of a run configuration concluded.
 ///
@@ -157,7 +183,8 @@ impl std::error::Error for PreflightDenied {}
 ///
 /// All findings are printed to stderr *before* the verdict is taken,
 /// so a denied run still reports everything the analysis found — not
-/// just the first failure.
+/// just the first failure. Inside [`hold_reports`] the findings of a run
+/// that goes ahead are held back instead.
 ///
 /// # Errors
 ///
@@ -172,10 +199,18 @@ pub fn try_preflight<W: Workload>(
         (PolicyMode::Deny, Some(hook)) => (hook, true),
     };
     let summary = hook(cfg);
+    let denied = deny && summary.errors > 0;
     if summary.errors + summary.warnings > 0 {
-        eprintln!("{}", summary.rendered.trim_end());
+        let text = summary.rendered.trim_end();
+        HELD.with(|held| match held.borrow_mut().as_mut() {
+            Some(reports) if !denied => {
+                reports.push_str(text);
+                reports.push('\n');
+            }
+            _ => eprintln!("{text}"),
+        });
     }
-    if deny && summary.errors > 0 {
+    if denied {
         return Err(PreflightDenied { summary });
     }
     Ok(Some(summary))
@@ -184,6 +219,46 @@ pub fn try_preflight<W: Workload>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jacobi::JacobiConfig;
+
+    fn warning_hook(_: &PipelineConfig<JacobiConfig>) -> PreflightSummary {
+        PreflightSummary {
+            warnings: 1,
+            rendered: "warning[TEST]: held\n\n".into(),
+            ..PreflightSummary::default()
+        }
+    }
+
+    fn error_hook(_: &PipelineConfig<JacobiConfig>) -> PreflightSummary {
+        PreflightSummary {
+            errors: 1,
+            rendered: "error[TEST]: refused\n".into(),
+            ..PreflightSummary::default()
+        }
+    }
+
+    /// Held reports come back in order, as stderr would have shown
+    /// them, also from a run that panics; a report that refuses its run
+    /// is printed, never held.
+    #[test]
+    fn held_reports_come_back_in_order() {
+        let mut cfg = PipelineConfig::new(JacobiConfig::default());
+        cfg.preflight = Preflight::warn(warning_hook);
+        let (runs, held) = hold_reports(|| [try_preflight(&cfg), try_preflight(&cfg)]);
+        assert!(runs.unwrap().iter().all(Result::is_ok));
+        assert_eq!(held, "warning[TEST]: held\nwarning[TEST]: held\n");
+        let (panicked, held) = hold_reports(|| {
+            let _ = try_preflight(&cfg);
+            panic!("the run failed after its pre-flight");
+        });
+        assert!(panicked.is_err());
+        assert_eq!(held, "warning[TEST]: held\n");
+        cfg.preflight = Preflight::deny(error_hook);
+        let (denied, held) = hold_reports(|| try_preflight(&cfg));
+        assert_eq!(denied.unwrap().unwrap_err().summary.errors, 1);
+        assert_eq!(held, "");
+        HELD.with(|held| assert!(held.borrow().is_none(), "nothing is held outside"));
+    }
 
     #[test]
     fn env_override_selects_policies() {

@@ -79,9 +79,23 @@ pub fn agent_tracks(trace: &Trace, end_ns: u64) -> Vec<ActivityTrack> {
 ///
 /// Panics if the trace contains no work phase.
 pub fn servant_utilization(trace: &Trace, servants: u32) -> UtilizationReport {
-    let (from, to) = work_phase(trace).expect("trace has no ray-tracing phase");
-    let tracks = servant_tracks(trace, servants, to);
-    UtilizationReport::measure(&tracks, "Work", from, to)
+    let window = work_phase(trace).expect("trace has no ray-tracing phase");
+    servant_work(trace, servants, window)
+}
+
+/// Servant utilization over `(from, to)`: the report
+/// [`UtilizationReport::measure`] gives for [`servant_tracks`] closed at
+/// `to`, folded from the trace in one pass.
+fn servant_work(trace: &Trace, servants: u32, (from, to): (u64, u64)) -> UtilizationReport {
+    UtilizationReport::measure_channels(
+        trace.events(),
+        &tokens::servant_activity_model(),
+        "Work",
+        1..servants as usize + 1,
+        |servant| format!("Servant {servant}"),
+        from,
+        to,
+    )
 }
 
 /// The *steady* ray-tracing phase: from the first "Work Begin" to the
@@ -111,9 +125,8 @@ pub fn steady_phase(trace: &Trace) -> Option<(u64, u64)> {
 ///
 /// Panics if the trace contains no steady phase.
 pub fn servant_utilization_steady(trace: &Trace, servants: u32) -> UtilizationReport {
-    let (from, to) = steady_phase(trace).expect("trace has no steady ray-tracing phase");
-    let tracks = servant_tracks(trace, servants, to);
-    UtilizationReport::measure(&tracks, "Work", from, to)
+    let window = steady_phase(trace).expect("trace has no steady ray-tracing phase");
+    servant_work(trace, servants, window)
 }
 
 /// Activity model for the kernel-instrumentation events
@@ -215,6 +228,30 @@ mod tests {
         assert!(tracks[1].time_in_state("Wake Up") > 0);
         // Agent 0's Freed state is the short one.
         assert_eq!(tracks[0].time_in_state("Freed"), 10);
+    }
+
+    /// The one-pass report equals the one measured over the derived
+    /// servant tracks, bit for bit, over both phases.
+    #[test]
+    fn utilization_matches_the_derived_tracks() {
+        let mut events: Vec<Event> = synthetic_trace().events().to_vec();
+        events.extend([
+            Event::new(900, 2, tokens::WORK_BEGIN, 0),
+            Event::new(1_700, 2, tokens::SEND_RESULTS_BEGIN, 0),
+            Event::new(2_100, 2, tokens::WORK_BEGIN, 0),
+            Event::new(2_950, 0, tokens::SEND_JOBS_BEGIN, 0),
+        ]);
+        let t = Trace::from_unsorted(events);
+        for (report, (from, to)) in [
+            (servant_utilization(&t, 3), work_phase(&t).unwrap()),
+            (servant_utilization_steady(&t, 3), steady_phase(&t).unwrap()),
+        ] {
+            let tracks = servant_tracks(&t, 3, to);
+            assert_eq!(
+                report,
+                UtilizationReport::measure(&tracks, "Work", from, to)
+            );
+        }
     }
 
     #[test]

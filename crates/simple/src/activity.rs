@@ -68,6 +68,13 @@ impl ActivityModel {
         self.states.get(&token).map(String::as_str)
     }
 
+    /// Every declared token with the state it begins.
+    pub(crate) fn declared(&self) -> impl Iterator<Item = (EventToken, &str)> {
+        self.states
+            .iter()
+            .map(|(&token, name)| (token, name.as_str()))
+    }
+
     /// Number of declared states.
     pub fn len(&self) -> usize {
         self.states.len()

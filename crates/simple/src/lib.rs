@@ -51,6 +51,8 @@ pub mod trace;
 
 pub use activity::{ActivityModel, ActivityTrack, Interval};
 pub use gantt::{Gantt, GanttStyle};
-pub use stats::{state_durations, utilization, UtilizationReport};
+pub use stats::{
+    channel_activity, state_durations, utilization, ChannelActivity, UtilizationReport,
+};
 pub use timeline::StateTimeline;
 pub use trace::{Event, Trace, TraceError};
