@@ -1,10 +1,11 @@
-//! Event-recorder benchmarks: FIFO ingest under different load shapes.
+//! Event-recorder benchmarks: the monitor's recording path (request
+//! stream, FIFO model, CEC merge) under different load shapes, on four
+//! channels sharing one recorder.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use suprenum_monitor::des::clock::ClockModel;
-use suprenum_monitor::des::time::{SimDuration, SimTime};
+use suprenum_monitor::des::time::SimTime;
 use suprenum_monitor::hybridmon::MonEvent;
-use suprenum_monitor::zm4::{DetectedEvent, EventRecorder};
+use suprenum_monitor::zm4::{DetectedEvent, Zm4Config};
 
 fn events(count: u64, period_ns: u64) -> Vec<DetectedEvent> {
     (0..count)
@@ -17,6 +18,8 @@ fn events(count: u64, period_ns: u64) -> Vec<DetectedEvent> {
 }
 
 fn bench_recorder(c: &mut Criterion) {
+    let monitor = Zm4Config::default().build(4, 1);
+    assert_eq!(monitor.recorders(), 1);
     let mut g = c.benchmark_group("event_recorder");
     for &(label, period) in &[
         ("sustained_9k_per_s", 111_111u64),
@@ -26,14 +29,7 @@ fn bench_recorder(c: &mut Criterion) {
         let evs = events(10_000, period);
         g.throughput(Throughput::Elements(evs.len() as u64));
         g.bench_function(label, |b| {
-            b.iter(|| {
-                let clock = ClockModel::synchronized(SimDuration::from_nanos(100));
-                let mut rec = EventRecorder::new(clock, 32 * 1024, SimDuration::from_micros(100));
-                for &ev in &evs {
-                    rec.record(ev);
-                }
-                black_box(rec.finish())
-            });
+            b.iter(|| black_box(monitor.observe_decoded(evs.iter().copied())));
         });
     }
     g.finish();

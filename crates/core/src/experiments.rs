@@ -689,6 +689,20 @@ mod tests {
         for r in &rows {
             assert_eq!(r.recorded + r.lost, r.offered);
         }
+        // The only experiment that loses events: pin every counter.
+        let counters: Vec<(u64, u64, u64, usize)> = rows
+            .iter()
+            .map(|r| (r.offered, r.recorded, r.lost, r.max_fifo))
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                (30_000, 30_000, 0, 1),
+                (30_000, 30_000, 0, 24_001),
+                (30_000, 30_000, 0, 28_801),
+                (60_000, 35_167, 24_833, 32_768),
+            ]
+        );
     }
 
     #[test]
@@ -727,5 +741,17 @@ mod tests {
             "free-running clocks stamp effects before their causes"
         );
         assert!(free.max_timestamp_error_ns > 100_000);
+        // The only run of free-running recorder clocks outside the
+        // proptests: pin both arms.
+        let pinned = |r: &ClockSyncRow| {
+            (
+                r.events,
+                r.merge_violations,
+                r.causality_violations,
+                r.max_timestamp_error_ns,
+            )
+        };
+        assert_eq!(pinned(&sync), (1_269, 0, 0, 97));
+        assert_eq!(pinned(&free), (1_269, 163, 47, 32_527_416));
     }
 }

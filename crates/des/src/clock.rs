@@ -103,11 +103,18 @@ impl ClockModel {
     /// The local reading, in local nanoseconds, for true global time `now`.
     ///
     /// Readings are clamped at zero (a hardware counter cannot go
-    /// negative) and quantized down to the clock resolution.
+    /// negative) and quantized down to the clock resolution. A clock
+    /// without drift reads in integers, exact at every time; only a
+    /// drifting clock goes through `f64`.
+    #[inline]
     pub fn stamp(&self, now: SimTime) -> u64 {
-        let true_ns = now.as_nanos() as f64;
-        let drifted = true_ns * (1.0 + self.drift_ppm * 1e-6) + self.offset_ns as f64;
-        let raw = drifted.max(0.0) as u64;
+        let raw = if self.drift_ppm == 0.0 {
+            now.as_nanos().saturating_add_signed(self.offset_ns)
+        } else {
+            let true_ns = now.as_nanos() as f64;
+            let drifted = true_ns * (1.0 + self.drift_ppm * 1e-6) + self.offset_ns as f64;
+            drifted.max(0.0) as u64
+        };
         raw - raw % self.resolution.as_nanos()
     }
 }
@@ -147,6 +154,44 @@ mod tests {
             (reading as i64 - expected as i64).abs() < 100,
             "reading {reading}"
         );
+    }
+
+    #[test]
+    fn synchronized_stamps_are_exact_past_f64_precision() {
+        // Past 2^53 ns an f64 reading rounds before it quantizes.
+        let c = ClockModel::synchronized(SimDuration::from_nanos(100));
+        assert_eq!(
+            c.stamp(SimTime::from_nanos(18_014_398_509_481_999)),
+            18_014_398_509_481_900
+        );
+        assert_eq!(
+            c.stamp(SimTime::from_nanos(u64::MAX)),
+            u64::MAX - u64::MAX % 100
+        );
+        assert_eq!(
+            c.stamp(SimTime::from_nanos(u64::MAX - 15)),
+            u64::MAX - u64::MAX % 100
+        );
+        assert_eq!(
+            c.stamp(SimTime::from_nanos(u64::MAX - 16)),
+            u64::MAX - u64::MAX % 100 - 100
+        );
+    }
+
+    #[test]
+    fn offset_without_drift_saturates_at_both_ends() {
+        let ahead = ClockModel::free_running(1_000, 0.0, SimDuration::from_nanos(1));
+        assert_eq!(ahead.stamp(SimTime::from_nanos(u64::MAX - 10)), u64::MAX);
+        assert_eq!(
+            ahead.stamp(SimTime::from_nanos(18_014_398_509_481_999)),
+            18_014_398_509_482_999
+        );
+        let behind = ClockModel::free_running(-1_000, 0.0, SimDuration::from_nanos(1));
+        assert_eq!(
+            behind.stamp(SimTime::from_nanos(u64::MAX)),
+            u64::MAX - 1_000
+        );
+        assert_eq!(behind.stamp(SimTime::from_nanos(999)), 0);
     }
 
     #[test]

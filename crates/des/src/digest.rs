@@ -12,6 +12,18 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME^k` for `k` in `0..=8`. Absorbing a zero byte leaves the
+/// xor a no-op, so `k` zero bytes multiply the state by `FNV_PRIME^k`.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// Incremental 64-bit FNV-1a hasher.
 ///
 /// # Examples
@@ -53,10 +65,17 @@ impl Fnv64 {
         }
     }
 
-    /// Absorbs a `u64` as its 8 little-endian bytes.
+    /// Absorbs a `u64` as its 8 little-endian bytes. The high zero
+    /// bytes fold into one multiplication by a power of the prime.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let significant = 8 - (v.leading_zeros() / 8) as usize;
+        let mut rest = v;
+        for _ in 0..significant {
+            self.write_u8(rest as u8);
+            rest >>= 8;
+        }
+        self.0 = self.0.wrapping_mul(PRIME_POWERS[8 - significant]);
     }
 
     /// The digest of everything absorbed so far. Non-consuming: more
@@ -88,6 +107,40 @@ mod tests {
         assert_eq!(digest(""), FNV_OFFSET);
         assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(digest("foobar"), 0x85944171f73967e8);
+    }
+
+    fn bytewise(v: u64) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(0x5eed);
+        h.write_bytes(&v.to_le_bytes());
+        h.finish()
+    }
+
+    fn folded(v: u64) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(0x5eed);
+        h.write_u64(v);
+        h.finish()
+    }
+
+    #[test]
+    fn write_u64_equals_its_bytes_at_every_byte_boundary() {
+        let mut values = vec![0, 1, u64::MAX];
+        for k in 1..8 {
+            values.push((1u64 << (8 * k)) - 1);
+            values.push(1u64 << (8 * k));
+        }
+        for v in values {
+            assert_eq!(folded(v), bytewise(v), "{v:#x}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn write_u64_equals_its_bytes(v in proptest::prelude::any::<u64>(), shift in 0u32..64) {
+            proptest::prop_assert_eq!(folded(v), bytewise(v));
+            proptest::prop_assert_eq!(folded(v >> shift), bytewise(v >> shift));
+        }
     }
 
     #[test]

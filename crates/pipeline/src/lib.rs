@@ -554,6 +554,7 @@ pub fn observe(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig)
 fn observe_bursts(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
     let by_channel: Vec<_> = (0..monitor.channels()).map(|c| faults.channel(c)).collect();
     let mut probes = monitor.probes();
+    probes.reserve(emissions.len());
     for rec in emissions {
         let channel = rec.node.index() as usize;
         let Some(mut probe) = probes.channel(channel) else {

@@ -29,6 +29,16 @@
 //! the pattern-level front end itself, for a caller that feeds one
 //! channel's burst of writes at a time.
 //!
+//! Every measurement ends in one tail that moves each event through
+//! memory once. The detectors' request signals of all DPUs form one
+//! stream, put in signal order by a stable sort that is linear on the
+//! nearly sorted stream they produce. Each event then passes its
+//! recorder: the FIFO keeps only departure times, and an accepted event
+//! goes straight to the output, stamped on the recorder's clock. The
+//! FIFO drains in arrival order, so this is the order the recorder's
+//! disk would hold. The CEC's sort on global timestamps is the same
+//! stable sort over that output ([`cec::merge`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -55,19 +65,17 @@
 pub mod cec;
 pub mod config;
 pub mod detector;
-pub mod dpu;
 pub mod measurement;
 pub mod recorder;
 pub mod serial;
 
-pub use cec::merge_traces;
 pub use config::Zm4Config;
 pub use detector::{DetectedEvent, EventDetector, ProbeSample};
-pub use dpu::Dpu;
 pub use measurement::{Measurement, TraceRecord};
-pub use recorder::{EventRecorder, RecorderStats, StoredRecord};
+pub use recorder::{EventRecorder, RecorderStats};
 pub use serial::{detect_serial, SerialProbe, SerialSample};
 
+use des::clock::ClockModel;
 use des::rng::DetRng;
 use des::time::SimTime;
 use hybridmon::decode::DecodeStats;
@@ -177,8 +185,8 @@ impl Zm4 {
 
     /// Runs the measurement over a streamed sample sequence in a single
     /// pass: no sample is retained, partitioned, or copied. Detected
-    /// events flow straight from each channel's detector into its
-    /// recorder's DPU queue.
+    /// events flow straight from each channel's detector into the
+    /// recorders' request stream.
     ///
     /// Each channel's subsequence must be in non-decreasing time order
     /// (channels may interleave arbitrarily); [`Zm4::observe`] falls
@@ -203,8 +211,8 @@ impl Zm4 {
     }
 
     /// The probe front end of one measurement: an event detector per
-    /// channel and a DPU per recorder, fed one channel's samples at a
-    /// time through [`Probes::channel`] and closed by
+    /// channel and the recorders' request stream, fed one channel's
+    /// samples at a time through [`Probes::channel`] and closed by
     /// [`Probes::finish`]. [`Zm4::observe_iter`] is a loop over it; a
     /// caller whose samples arrive in per-channel bursts looks each
     /// channel up once per burst instead of once per sample.
@@ -214,13 +222,13 @@ impl Zm4 {
             detectors: (0..self.channels)
                 .map(|ch| EventDetector::new(ch, self.config.detector_latency))
                 .collect(),
-            dpus: self.dpus(),
+            requests: Vec::new(),
         }
     }
 
     /// Runs the measurement over events the detectors have already
-    /// assembled, skipping the pattern stream: each event is queued on
-    /// its channel's DPU and counted as one clean detection, then the
+    /// assembled, skipping the pattern stream: each event joins the
+    /// recorders' request stream as one clean detection, then the
     /// recorders and the CEC merge run exactly as in
     /// [`Zm4::observe_iter`].
     ///
@@ -228,7 +236,9 @@ impl Zm4 {
     /// whenever every sequence reaches its detector whole and
     /// uninterleaved — then the detector assembles each event at its
     /// last pattern, with no stray patterns or atomicity violations.
-    /// Each channel's events must be in non-decreasing time order.
+    /// The events may come in any order: the recorders serve them in
+    /// `(time, channel)` order, and events that tie on both in the
+    /// order given.
     ///
     /// # Panics
     ///
@@ -238,7 +248,9 @@ impl Zm4 {
     where
         I: IntoIterator<Item = DetectedEvent>,
     {
-        let mut dpus = self.dpus();
+        let events = events.into_iter();
+        let (lower, upper) = events.size_hint();
+        let mut requests = Vec::with_capacity(upper.unwrap_or(lower));
         let mut detector_stats = vec![DecodeStats::default(); self.channels];
         for event in events {
             assert!(
@@ -247,68 +259,106 @@ impl Zm4 {
                 event.channel
             );
             detector_stats[event.channel].events += 1;
-            dpus[self.recorder_of(event.channel)].queue_event(event);
+            requests.push(event);
         }
-        Self::record(dpus, detector_stats)
+        self.record(requests, detector_stats)
     }
 
-    /// One DPU per recorder, serving its channels.
-    fn dpus(&self) -> Vec<Dpu> {
-        let rng = DetRng::new(self.config.seed);
+    /// One event recorder per DPU. Its clock is locked to the MTG, or
+    /// free running with a skew drawn from the seed's `recorder-clock`
+    /// stream for that DPU.
+    fn event_recorders(&self) -> Vec<EventRecorder> {
+        let cfg = &self.config;
+        let rng = DetRng::new(cfg.seed);
         (0..self.recorders())
-            .map(|i| Dpu::new(i, &self.config, &rng))
+            .map(|index| {
+                let clock = if cfg.mtg_synchronized {
+                    ClockModel::synchronized(cfg.clock_resolution)
+                } else {
+                    ClockModel::random_skew(
+                        &mut rng.derive_indexed("recorder-clock", index as u64),
+                        cfg.skew_max_offset,
+                        cfg.skew_max_drift_ppm,
+                        cfg.clock_resolution,
+                    )
+                };
+                EventRecorder::new(clock, cfg.fifo_capacity, cfg.drain_service_time())
+            })
             .collect()
     }
 
-    /// The shared tail of every measurement: each DPU runs its
-    /// FIFO/drain model, then the CEC merges the local traces.
-    fn record(dpus: Vec<Dpu>, detector_stats: Vec<DecodeStats>) -> Measurement {
-        let mut local_traces = Vec::with_capacity(dpus.len());
-        let mut recorder_stats = Vec::with_capacity(dpus.len());
-        for dpu in dpus {
-            let (stored, stats) = dpu.record();
-            local_traces.push(stored);
-            recorder_stats.push(stats);
+    /// The shared tail of every measurement. The recorders serve the
+    /// request stream in signal order — `(time, channel)`, a DPU's
+    /// request lines in the order they fired — each accepted event goes
+    /// out stamped on its recorder's clock, and the CEC sorts the output
+    /// on the stamps.
+    fn record(
+        &self,
+        mut requests: Vec<DetectedEvent>,
+        detector_stats: Vec<DecodeStats>,
+    ) -> Measurement {
+        cec::sort_by_key(&mut requests, |e| (e.time, e.channel));
+        // A table lookup per event, not a division.
+        let recorder_of: Vec<usize> = (0..self.channels).map(|ch| self.recorder_of(ch)).collect();
+        let mut recorders = self.event_recorders();
+        let mut trace = Vec::with_capacity(requests.len());
+        for request in requests {
+            let recorder = recorder_of[request.channel];
+            if let Some(ts_ns) = recorders[recorder].record(request.time) {
+                trace.push(TraceRecord {
+                    ts_ns,
+                    channel: request.channel,
+                    recorder,
+                    event: request.event,
+                    true_time: request.time,
+                });
+            }
         }
-
-        let trace = merge_traces(local_traces);
+        cec::merge(&mut trace);
         Measurement {
             trace,
-            recorder_stats,
+            recorder_stats: recorders.iter().map(EventRecorder::stats).collect(),
             detector_stats,
         }
     }
 }
 
-/// One measurement in progress: the detectors and DPUs that
-/// [`Zm4::probes`] wired up, waiting for probe samples.
+/// One measurement in progress: the detectors that [`Zm4::probes`]
+/// wired up and the request stream they feed, waiting for probe samples.
 #[derive(Debug)]
 pub struct Probes<'a> {
     zm4: &'a Zm4,
     detectors: Vec<EventDetector>,
-    dpus: Vec<Dpu>,
+    requests: Vec<DetectedEvent>,
 }
 
 impl Probes<'_> {
-    /// The probe clipped onto `channel`: its event detector and the DPU
-    /// of the recorder it is wired to. `None` when the monitor was not
-    /// built for that channel.
+    /// Reserves room for `events` more detected events.
+    pub fn reserve(&mut self, events: usize) {
+        self.requests.reserve(events);
+    }
+
+    /// The probe clipped onto `channel`: its event detector, feeding the
+    /// recorders' request stream. `None` when the monitor was not built
+    /// for that channel.
     #[inline]
     pub fn channel(&mut self, channel: usize) -> Option<ChannelProbe<'_>> {
         let detector = self.detectors.get_mut(channel)?;
-        let dpu = &mut self.dpus[self.zm4.recorder_of(channel)];
-        Some(ChannelProbe { detector, dpu })
+        Some(ChannelProbe {
+            detector,
+            requests: &mut self.requests,
+        })
     }
 
-    /// Ends the measurement: each DPU runs its FIFO/drain model over the
-    /// events queued on it, then the CEC merges the local traces.
+    /// Ends the measurement: the recorders serve the detected events,
+    /// then the CEC merges their output.
     pub fn finish(self) -> Measurement {
         let detector_stats = self
             .detectors
             .into_iter()
             .map(EventDetector::into_stats)
             .collect();
-        Zm4::record(self.dpus, detector_stats)
+        self.zm4.record(self.requests, detector_stats)
     }
 }
 
@@ -316,17 +366,17 @@ impl Probes<'_> {
 #[derive(Debug)]
 pub struct ChannelProbe<'a> {
     detector: &'a mut EventDetector,
-    dpu: &'a mut Dpu,
+    requests: &'a mut Vec<DetectedEvent>,
 }
 
 impl ChannelProbe<'_> {
     /// Feeds one probed write of this channel to its detector and
-    /// queues the event it completes, if any, on the channel's DPU.
+    /// queues the event it completes, if any, for the recorders.
     /// The channel's samples must arrive in non-decreasing time order.
     #[inline]
     pub fn feed(&mut self, sample: ProbeSample) {
         if let Some(event) = self.detector.feed(sample) {
-            self.dpu.queue_event(event);
+            self.requests.push(event);
         }
     }
 }
@@ -382,6 +432,46 @@ mod tests {
             assert_eq!(direct.recorder_stats, oracle.recorder_stats);
             assert_eq!(direct.detector_stats, oracle.detector_stats);
         }
+    }
+
+    fn ev(ns: u64, channel: usize) -> DetectedEvent {
+        DetectedEvent {
+            time: SimTime::from_nanos(ns),
+            channel,
+            event: MonEvent::new(channel as u16, 0),
+        }
+    }
+
+    #[test]
+    fn merges_channels_in_time_order() {
+        let zm4 = Zm4::new(Zm4Config::default(), 2, 1);
+        let m = zm4.observe_decoded([ev(3_000, 0), ev(9_000, 0), ev(1_000, 1), ev(6_000, 1)]);
+        assert_eq!(m.recorder_stats[0].recorded, 4);
+        let channels: Vec<usize> = m.trace.iter().map(|r| r.channel).collect();
+        assert_eq!(channels, vec![1, 0, 1, 0]);
+        assert!(m.trace.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    #[test]
+    fn synchronized_dpus_share_perfect_clock() {
+        let zm4 = Zm4::new(Zm4Config::default(), 8, 7);
+        let recorders = zm4.event_recorders();
+        assert_eq!(recorders.len(), 2);
+        assert!(recorders.iter().all(|r| r.clock().is_synchronized()));
+    }
+
+    #[test]
+    fn free_running_dpus_have_distinct_skews() {
+        let cfg = Zm4Config {
+            mtg_synchronized: false,
+            ..Zm4Config::default()
+        };
+        let recorders = Zm4::new(cfg, 8, 7).event_recorders();
+        let (a, b) = (recorders[0].clock(), recorders[1].clock());
+        assert!(!a.is_synchronized() || !b.is_synchronized());
+        // Same event time stamps differently on the two recorders.
+        let t = SimTime::from_millis(100);
+        assert_ne!(a.stamp(t), b.stamp(t));
     }
 
     #[test]

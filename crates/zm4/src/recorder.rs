@@ -11,30 +11,16 @@
 //! The drain is modelled as a deterministic single-server queue: each
 //! stored record departs `drain_service_time` after the previous
 //! departure (or after its own arrival, whichever is later); a record
-//! occupies a FIFO slot until its departure. "Disk" is a
-//! `Vec<StoredRecord>`: the recorder's local trace.
+//! occupies a FIFO slot until its departure. The FIFO drains in arrival
+//! order, so the disk receives the accepted records in the order they
+//! arrived. The simulation therefore keeps only the FIFO's departure
+//! times: [`EventRecorder::record`] hands an accepted event's timestamp
+//! back at once, and the caller writes the record out in arrival order.
 
 use std::collections::VecDeque;
 
 use des::clock::ClockModel;
-use des::time::SimTime;
-
-use crate::detector::DetectedEvent;
-
-/// A record as written to the monitor agent's disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoredRecord {
-    /// The local-clock timestamp (nanoseconds on this recorder's clock).
-    /// Globally valid when the MTG drives the clock.
-    pub local_ts: u64,
-    /// The source channel.
-    pub channel: usize,
-    /// The 48-bit event.
-    pub event: hybridmon::MonEvent,
-    /// True global arrival time (simulation ground truth, for
-    /// validation only — the real hardware has no such column).
-    pub true_time: SimTime,
-}
+use des::time::{SimDuration, SimTime};
 
 /// Health counters of one event recorder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,40 +40,36 @@ pub struct RecorderStats {
 /// ```
 /// use des::clock::ClockModel;
 /// use des::time::{SimDuration, SimTime};
-/// use hybridmon::MonEvent;
-/// use zm4::{DetectedEvent, EventRecorder};
+/// use zm4::EventRecorder;
 ///
 /// let clock = ClockModel::synchronized(SimDuration::from_nanos(100));
-/// let mut rec = EventRecorder::new(clock, 4, SimDuration::from_micros(100));
-/// rec.record(DetectedEvent {
-///     time: SimTime::from_nanos(1_234),
-///     channel: 0,
-///     event: MonEvent::new(1, 2),
-/// });
-/// let (stored, stats) = rec.finish();
-/// assert_eq!(stored.len(), 1);
-/// assert_eq!(stored[0].local_ts, 1_200); // quantized to 100 ns
-/// assert_eq!(stats.lost, 0);
+/// let mut rec = EventRecorder::new(clock, 1, SimDuration::from_micros(100));
+/// // Accepted: stamped on the local clock, quantized to 100 ns.
+/// assert_eq!(rec.record(SimTime::from_nanos(1_234)), Some(1_200));
+/// // The one-slot FIFO is still draining the first record: lost.
+/// assert_eq!(rec.record(SimTime::from_nanos(5_000)), None);
+/// assert_eq!(rec.stats().recorded, 1);
+/// assert_eq!(rec.stats().lost, 1);
 /// ```
 #[derive(Debug)]
 pub struct EventRecorder {
     clock: ClockModel,
     capacity: usize,
-    service: des::time::SimDuration,
-    /// Records in the FIFO with their scheduled departure times.
-    fifo: VecDeque<(StoredRecord, SimTime)>,
+    service: SimDuration,
+    /// Departure times of the records in the FIFO, oldest first.
+    fifo: VecDeque<SimTime>,
     last_departure: SimTime,
-    stored: Vec<StoredRecord>,
     stats: RecorderStats,
 }
 
 impl EventRecorder {
-    /// Creates a recorder draining to a `Vec<StoredRecord>`.
+    /// Creates a recorder with an empty FIFO of `capacity` records that
+    /// drains one record every `service`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero or `service` is zero.
-    pub fn new(clock: ClockModel, capacity: usize, service: des::time::SimDuration) -> Self {
+    pub fn new(clock: ClockModel, capacity: usize, service: SimDuration) -> Self {
         assert!(capacity > 0, "FIFO capacity must be nonzero");
         assert!(!service.is_zero(), "drain service time must be nonzero");
         EventRecorder {
@@ -96,7 +78,6 @@ impl EventRecorder {
             service,
             fifo: VecDeque::new(),
             last_departure: SimTime::ZERO,
-            stored: Vec::new(),
             stats: RecorderStats::default(),
         }
     }
@@ -106,27 +87,30 @@ impl EventRecorder {
         &self.clock
     }
 
-    /// Records one detected event arriving at its true time.
+    /// Offers one event whose request signal fires at true time `time`.
+    /// Returns its local timestamp when the FIFO accepts it, `None` when
+    /// the FIFO is full and the event is lost.
     ///
     /// Events must arrive in non-decreasing true-time order.
     #[inline]
-    pub fn record(&mut self, ev: DetectedEvent) {
-        self.drain_until(ev.time);
+    pub fn record(&mut self, time: SimTime) -> Option<u64> {
+        while self
+            .fifo
+            .front()
+            .is_some_and(|&departure| departure <= time)
+        {
+            self.fifo.pop_front();
+        }
         if self.fifo.len() >= self.capacity {
             self.stats.lost += 1;
-            return;
+            return None;
         }
-        let record = StoredRecord {
-            local_ts: self.clock.stamp(ev.time),
-            channel: ev.channel,
-            event: ev.event,
-            true_time: ev.time,
-        };
-        let departure = ev.time.max(self.last_departure) + self.service;
+        let departure = time.max(self.last_departure) + self.service;
         self.last_departure = departure;
-        self.fifo.push_back((record, departure));
+        self.fifo.push_back(departure);
         self.stats.recorded += 1;
         self.stats.max_fifo_occupancy = self.stats.max_fifo_occupancy.max(self.fifo.len());
+        Some(self.clock.stamp(time))
     }
 
     /// Current FIFO occupancy.
@@ -134,57 +118,34 @@ impl EventRecorder {
         self.fifo.len()
     }
 
-    /// Moves every record whose departure time has passed to disk.
-    #[inline]
-    fn drain_until(&mut self, now: SimTime) {
-        while let Some(&(_, dep)) = self.fifo.front() {
-            if dep <= now {
-                let (rec, _) = self.fifo.pop_front().expect("checked front");
-                self.stored.push(rec);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Ends the measurement: drains the remaining FIFO contents to disk
-    /// and returns the stored records plus statistics.
-    pub fn finish(mut self) -> (Vec<StoredRecord>, RecorderStats) {
-        while let Some((rec, _)) = self.fifo.pop_front() {
-            self.stored.push(rec);
-        }
-        (self.stored, self.stats)
+    /// The counters so far.
+    pub fn stats(&self) -> RecorderStats {
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::time::SimDuration;
-    use hybridmon::MonEvent;
     use proptest::prelude::*;
 
     fn sync_clock() -> ClockModel {
         ClockModel::synchronized(SimDuration::from_nanos(100))
     }
 
-    fn ev(ns: u64, token: u16) -> DetectedEvent {
-        DetectedEvent {
-            time: SimTime::from_nanos(ns),
-            channel: 0,
-            event: MonEvent::new(token, 0),
-        }
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
     }
 
     #[test]
     fn slow_stream_never_loses() {
         // 10k ev/s drain; events every 1 ms are comfortably sustained.
         let mut rec = EventRecorder::new(sync_clock(), 8, SimDuration::from_micros(100));
-        for i in 0..1000u64 {
-            rec.record(ev(i * 1_000_000, i as u16));
-        }
-        let (stored, stats) = rec.finish();
-        assert_eq!(stored.len(), 1000);
+        let stored = (0..1000u64)
+            .filter_map(|i| rec.record(at(i * 1_000_000)))
+            .count();
+        let stats = rec.stats();
+        assert_eq!(stored, 1000);
         assert_eq!(stats.lost, 0);
         assert!(
             stats.max_fifo_occupancy <= 1,
@@ -197,11 +158,11 @@ mod tests {
         // Burst of `cap` events in 1 us (10M ev/s-ish): FIFO absorbs it.
         let cap = 1000;
         let mut rec = EventRecorder::new(sync_clock(), cap, SimDuration::from_micros(100));
-        for i in 0..cap as u64 {
-            rec.record(ev(1_000 + i, i as u16));
-        }
-        let (stored, stats) = rec.finish();
-        assert_eq!(stored.len(), cap);
+        let stored = (0..cap as u64)
+            .filter_map(|i| rec.record(at(1_000 + i)))
+            .count();
+        let stats = rec.stats();
+        assert_eq!(stored, cap);
         assert_eq!(stats.lost, 0);
         assert_eq!(stats.max_fifo_occupancy, cap);
     }
@@ -211,9 +172,9 @@ mod tests {
         let cap = 100;
         let mut rec = EventRecorder::new(sync_clock(), cap, SimDuration::from_micros(100));
         for i in 0..(cap as u64 + 50) {
-            rec.record(ev(1_000 + i, i as u16));
+            rec.record(at(1_000 + i));
         }
-        let (_, stats) = rec.finish();
+        let stats = rec.stats();
         assert_eq!(stats.recorded, cap as u64);
         assert_eq!(stats.lost, 50);
     }
@@ -224,14 +185,14 @@ mod tests {
         let mut rec = EventRecorder::new(sync_clock(), cap, SimDuration::from_micros(100));
         // First burst fills the FIFO.
         for i in 0..cap as u64 {
-            rec.record(ev(1_000 + i, 0));
+            assert!(rec.record(at(1_000 + i)).is_some());
         }
         assert_eq!(rec.fifo_occupancy(), cap);
         // 2 ms later everything has drained (10 records x 100 us = 1 ms).
-        rec.record(ev(2_001_000, 1));
+        assert!(rec.record(at(2_001_000)).is_some());
         assert_eq!(rec.fifo_occupancy(), 1);
-        let (stored, stats) = rec.finish();
-        assert_eq!(stored.len(), cap + 1);
+        let stats = rec.stats();
+        assert_eq!(stats.recorded, cap as u64 + 1);
         assert_eq!(stats.lost, 0);
     }
 
@@ -239,30 +200,28 @@ mod tests {
     fn stamps_quantize_and_skew() {
         let skewed = ClockModel::free_running(1_000, 0.0, SimDuration::from_nanos(100));
         let mut rec = EventRecorder::new(skewed, 4, SimDuration::from_micros(100));
-        rec.record(ev(5_030, 7));
-        let (stored, _) = rec.finish();
         // 5030 + 1000 offset = 6030 -> quantized 6000.
-        assert_eq!(stored[0].local_ts, 6_000);
-        assert_eq!(stored[0].true_time, SimTime::from_nanos(5_030));
+        assert_eq!(rec.record(at(5_030)), Some(6_000));
     }
 
     proptest! {
-        /// Conservation: recorded + lost equals offered, and stored
-        /// records preserve arrival order.
+        /// Conservation: recorded + lost equals offered, and the accepted
+        /// records' stamps follow their arrival order.
         #[test]
         fn conservation_and_order(gaps in proptest::collection::vec(0u64..200_000, 1..300)) {
             let mut rec = EventRecorder::new(sync_clock(), 64, SimDuration::from_micros(100));
             let mut t = 0u64;
-            for (i, g) in gaps.iter().enumerate() {
+            let mut stamps = Vec::new();
+            for g in &gaps {
                 t += g;
-                rec.record(ev(t, i as u16));
+                stamps.extend(rec.record(at(t)));
             }
             let offered = gaps.len() as u64;
-            let (stored, stats) = rec.finish();
+            let stats = rec.stats();
             prop_assert_eq!(stats.recorded + stats.lost, offered);
-            prop_assert_eq!(stored.len() as u64, stats.recorded);
-            prop_assert!(stored.windows(2).all(|w| w[0].true_time <= w[1].true_time));
-            prop_assert!(stored.windows(2).all(|w| w[0].local_ts <= w[1].local_ts));
+            prop_assert_eq!(stamps.len() as u64, stats.recorded);
+            prop_assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
+            prop_assert!(stats.max_fifo_occupancy <= 64);
         }
     }
 }
