@@ -27,6 +27,20 @@
 //! monitoring appends to a node-local buffer stamped with the node's
 //! skewed local clock.
 //!
+//! # Where per-process state lives
+//!
+//! A partition's process table is a vector indexed by raw pid, and
+//! everything the kernel keeps per process lives in that process's slot:
+//! its scheduler state, its accepted mailbox messages, the synchronous
+//! messages and mailbox arrivals waiting for it, and whether its mailbox
+//! LWP is queued. Every arrival already looks up its destination's slot,
+//! and a process lives on exactly one node, so a message or state change
+//! costs one index, never a hash. A node keeps only its CPU: the
+//! scheduling policy, the running LWP and the switch bookkeeping. The
+//! ground truth ([`GroundTruth`]) keeps its histories in the same
+//! layout. Only the condition variables (keyed by application-chosen
+//! [`CondId`]s) and the multi-cluster pid directory are maps.
+//!
 //! # Parallel event execution
 //!
 //! Kernel state is split into one `Partition` (private) per cluster. Each
@@ -48,7 +62,7 @@
 //! digest.
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
 
 use des::clock::ClockModel;
@@ -286,12 +300,25 @@ impl KernelStats {
     }
 }
 
+/// One process's kernel state, including everything the kernel keeps
+/// per destination process: the messages waiting for it and whether its
+/// mailbox LWP is queued.
 struct Proc {
     node: NodeId,
     team: TeamId,
     body: Option<Box<dyn Process>>,
     state: ProcState,
+    /// Messages its mailbox LWP accepted and the process has not yet
+    /// received.
     mbox: VecDeque<Message>,
+    /// Synchronous messages that arrived before the process called
+    /// `Recv`, with their senders.
+    pending_sync: VecDeque<(ProcessId, Message)>,
+    /// Mailbox messages that arrived but have not yet been *accepted*
+    /// by the mailbox LWP (their senders are still blocked).
+    mailbox_arrivals: VecDeque<(ProcessId, Message)>,
+    /// Whether the mailbox LWP is enqueued or running.
+    mailbox_active: bool,
     pending_resume: Option<Resume>,
     /// While inside a timed compute section: when it completes. The
     /// only window a preemptive policy may take the CPU in.
@@ -304,6 +331,9 @@ struct Proc {
     preempted_compute: Option<SimDuration>,
 }
 
+/// One node's CPU: its scheduling policy and what holds the CPU. The
+/// messages and mailbox state of the node's processes live in their
+/// [`Proc`]s.
 struct Node {
     /// The pluggable scheduling policy owning this node's ready set.
     sched: Box<dyn Scheduler>,
@@ -311,14 +341,6 @@ struct Node {
     dispatching: bool,
     /// Team of the last LWP that held the CPU (for switch pricing).
     last_team: Option<TeamId>,
-    /// Synchronous messages that arrived before the receiver called
-    /// `Recv`, per destination process.
-    pending_sync: HashMap<ProcessId, VecDeque<(ProcessId, Message)>>,
-    /// Mailbox messages that arrived but have not yet been *accepted* by
-    /// the destination's mailbox LWP (their senders are still blocked).
-    mailbox_arrivals: HashMap<ProcessId, VecDeque<(ProcessId, Message)>>,
-    /// Mailbox LWPs currently enqueued or running.
-    mailbox_active: HashSet<ProcessId>,
 }
 
 impl Node {
@@ -328,9 +350,6 @@ impl Node {
             running: None,
             dispatching: false,
             last_team: None,
-            pending_sync: HashMap::new(),
-            mailbox_arrivals: HashMap::new(),
-            mailbox_active: HashSet::new(),
         }
     }
 }
@@ -433,15 +452,19 @@ struct Partition {
     /// for index alignment; each partition only ever reserves its own
     /// cluster's resources.
     interconnect: Interconnect,
-    /// Indexed by raw pid. Clusters allocate pids strided by the cluster
-    /// count, so multi-cluster tables are sparse; single-cluster tables
-    /// are dense.
+    /// Indexed by raw pid; each slot holds all of the process's kernel
+    /// state. Clusters allocate pids strided by the cluster count, so
+    /// multi-cluster tables are sparse; single-cluster tables are dense.
     procs: Vec<Option<Proc>>,
     /// Local nodes, indexed by `node.index() - first_node`.
     nodes: Vec<Node>,
+    /// Waiters per condition variable. Condition ids are chosen by the
+    /// application (`base_cond + index`), not dense, so this stays a map.
     conds: HashMap<CondId, Vec<ProcessId>>,
     /// Terminal-interface bytes, in emission order.
     terminal: Vec<TerminalWrite>,
+    /// State histories of this partition's processes, indexed by raw pid
+    /// like `procs`.
     ground_truth: GroundTruth,
     intrusion: IntrusionReport,
     /// Local nodes' software monitors, same indexing as `nodes`.
@@ -567,6 +590,9 @@ impl Partition {
             body: Some(body),
             state: ProcState::Ready,
             mbox: VecDeque::new(),
+            pending_sync: VecDeque::new(),
+            mailbox_arrivals: VecDeque::new(),
+            mailbox_active: false,
             pending_resume: Some(Resume::Start),
             compute_until: None,
             run_epoch: 0,
@@ -836,11 +862,7 @@ impl Partition {
                 self.local_node_mut(node).sched.on_run(lwp, &ctx);
                 // The mailbox process accepts every message waiting right
                 // now; later arrivals wait for its next scheduling.
-                let count = self
-                    .local_node(node)
-                    .mailbox_arrivals
-                    .get(&owner)
-                    .map_or(0, VecDeque::len);
+                let count = self.proc(owner).mailbox_arrivals.len();
                 if self.kernel_instrumented() {
                     self.kernel_emit(
                         sched.now(),
@@ -877,10 +899,9 @@ impl Partition {
         let node = self.proc(owner).node;
         for _ in 0..count {
             let (src, msg) = self
-                .local_node_mut(node)
+                .proc_mut(owner)
                 .mailbox_arrivals
-                .get_mut(&owner)
-                .and_then(VecDeque::pop_front)
+                .pop_front()
                 .expect("mailbox service count exceeds arrivals");
             self.stats.mailbox_messages += 1;
             // Accepting the message releases the (still blocked) sender.
@@ -902,19 +923,15 @@ impl Partition {
             let n = self.local_node_mut(node);
             n.sched.on_block(LwpId::Mailbox(owner), &ctx);
             n.running = None;
-            n.mailbox_active.remove(&owner);
         }
         // Messages that arrived during servicing require another round.
-        let more = self
-            .local_node(node)
-            .mailbox_arrivals
-            .get(&owner)
-            .is_some_and(|q| !q.is_empty());
-        if more {
+        let owner_proc = self.proc_mut(owner);
+        owner_proc.mailbox_active = !owner_proc.mailbox_arrivals.is_empty();
+        if owner_proc.mailbox_active {
             let ctx = self.node_ctx(now, node);
-            let n = self.local_node_mut(node);
-            n.sched.on_ready(LwpId::Mailbox(owner), &ctx);
-            n.mailbox_active.insert(owner);
+            self.local_node_mut(node)
+                .sched
+                .on_ready(LwpId::Mailbox(owner), &ctx);
         }
         self.try_dispatch(sched, node);
     }
@@ -926,22 +943,17 @@ impl Partition {
         src: ProcessId,
         msg: Message,
     ) {
-        let dst_proc = self.proc(dst);
+        let dst_proc = self.proc_mut(dst);
         assert!(
             dst_proc.state != ProcState::Exited,
             "synchronous message to exited process {dst}"
         );
-        let node = dst_proc.node;
         let waiting = dst_proc.state == ProcState::Blocked(BlockReason::Recv)
             && dst_proc.pending_resume.is_none();
         if waiting {
             self.complete_rendezvous(sched, dst, src, msg);
         } else {
-            self.local_node_mut(node)
-                .pending_sync
-                .entry(dst)
-                .or_default()
-                .push_back((src, msg));
+            dst_proc.pending_sync.push_back((src, msg));
         }
     }
 
@@ -964,23 +976,19 @@ impl Partition {
         src: ProcessId,
         msg: Message,
     ) {
-        let dst_proc = self.proc(dst);
+        let dst_proc = self.proc_mut(dst);
         assert!(
             dst_proc.state != ProcState::Exited,
             "mailbox message to exited process {dst}"
         );
         let node = dst_proc.node;
-        let n = self.local_node_mut(node);
-        n.mailbox_arrivals
-            .entry(dst)
-            .or_default()
-            .push_back((src, msg));
+        dst_proc.mailbox_arrivals.push_back((src, msg));
         // Wake the mailbox LWP; under the stock policy it still has to
         // *win the CPU* before the sender is released — the crux of the
         // paper's observation. A preemptive policy may seize the CPU
         // for it here instead, which is exactly the transition that
         // breaks the effective-synchrony property.
-        if n.mailbox_active.insert(dst) {
+        if !std::mem::replace(&mut dst_proc.mailbox_active, true) {
             self.wake(sched, node, LwpId::Mailbox(dst));
         } else {
             self.try_dispatch(sched, node);
@@ -1054,24 +1062,17 @@ impl Partition {
                     self.route_message(sched, now, node, pid, to, msg, false);
                     return;
                 }
-                Action::Recv => {
-                    let pending = self
-                        .local_node_mut(node)
-                        .pending_sync
-                        .get_mut(&pid)
-                        .and_then(VecDeque::pop_front);
-                    match pending {
-                        Some((src, msg)) => {
-                            self.stats.sync_messages += 1;
-                            self.send_ack(sched, src);
-                            resume = Resume::Msg(msg);
-                        }
-                        None => {
-                            self.block(sched, pid, BlockReason::Recv);
-                            return;
-                        }
+                Action::Recv => match self.proc_mut(pid).pending_sync.pop_front() {
+                    Some((src, msg)) => {
+                        self.stats.sync_messages += 1;
+                        self.send_ack(sched, src);
+                        resume = Resume::Msg(msg);
                     }
-                }
+                    None => {
+                        self.block(sched, pid, BlockReason::Recv);
+                        return;
+                    }
+                },
                 Action::MailboxSend { to, msg } => {
                     self.block(sched, pid, BlockReason::MailboxSend);
                     self.route_message(sched, now, node, pid, to, msg, true);
@@ -1441,6 +1442,31 @@ impl Partition {
     }
 }
 
+/// Merges the partitions' emission runs (in cluster order) into one:
+/// repeatedly takes the head with the earliest last write, ties going to
+/// the lower cluster. Each run keeps its order, so each node's records
+/// keep theirs, and the monitor's stable `(time, channel)` request sort
+/// reads the same measurement as from the runs concatenated. But
+/// concatenated, each run after the first spends the request sort's
+/// insertion budget and hands the rest to the library sort; merged, the
+/// stream stays nearly sorted. The merge goes away with the per-cluster
+/// partitions, once every machine runs on one engine.
+fn merge_emission_runs(runs: Vec<Vec<EmissionRecord>>) -> Vec<EmissionRecord> {
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut heads = vec![0; runs.len()];
+    while let Some((_, c)) = runs
+        .iter()
+        .zip(&heads)
+        .enumerate()
+        .filter_map(|(c, (run, &i))| Some((run.get(i)?.last_write_at(), c)))
+        .min()
+    {
+        merged.push(runs[c][heads[c]]);
+        heads[c] += 1;
+    }
+    merged
+}
+
 /// A simulated SUPRENUM machine.
 ///
 /// # Examples
@@ -1780,10 +1806,15 @@ impl Machine {
     fn finish_multi(&mut self, stop: StopReason, limited: bool) -> RunOutcome {
         if !self.merged {
             self.merged = true;
+            let runs: Vec<_> = self
+                .parts
+                .iter_mut()
+                .map(|p| std::mem::take(&mut p.emissions))
+                .collect();
+            self.parts[0].emissions = merge_emission_runs(runs);
             let (first, rest) = self.parts.split_at_mut(1);
             let p0 = &mut first[0];
             for p in rest {
-                p0.emissions.append(&mut p.emissions);
                 p0.terminal.append(&mut p.terminal);
                 p0.ground_truth.absorb(&mut p.ground_truth);
                 let intr = std::mem::take(&mut p.intrusion);
@@ -1841,11 +1872,15 @@ impl Machine {
     }
 
     /// Every hybrid-monitoring display emission of the run, one compact
-    /// record per event: per partition in emission order, partitions in
-    /// cluster order. Per node the records are in strictly increasing
-    /// time order and never overlap — the display serializer starts an
-    /// emission only after the previous one's 32 writes (plus one
-    /// spacing) — so each record is exactly one decodable event.
+    /// record per event, in emission order. On a multi-cluster machine
+    /// each cluster's partition emits one run, and the runs are merged
+    /// after the run by last write time, ties going to the lower
+    /// cluster, so the records are nearly sorted by
+    /// [`EmissionRecord::last_write_at`]. Per node the records
+    /// are in strictly increasing time order and never overlap — the
+    /// display serializer starts an emission only after the previous
+    /// one's 32 writes (plus one spacing) — so each record is exactly
+    /// one decodable event.
     pub fn emissions(&self) -> &[EmissionRecord] {
         &self.parts[0].emissions
     }

@@ -174,7 +174,7 @@ fn signals_view_follows_a_resumed_run() {
 #[test]
 fn multi_cluster_emissions_do_not_depend_on_engine_threads() {
     // 20 nodes over two 16-node clusters: the partitions' emissions are
-    // merged in cluster order after the run.
+    // merged by last write time after the run.
     let cfg = MachineConfig {
         clusters: 2,
         torus_cols: 1,
@@ -188,4 +188,49 @@ fn multi_cluster_emissions_do_not_depend_on_engine_threads() {
     assert!(one.emissions().iter().any(|rec| rec.node.index() >= 16));
     assert_eq!(one.emissions(), two.emissions());
     assert_eq!(one.signals().display_writes(), expected_display(&one));
+}
+
+#[test]
+fn multi_cluster_emissions_hold_every_record_once_in_node_order() {
+    // Two clusters' runs of application and kernel emissions, merged
+    // by last write time: nothing is lost or doubled, each node's
+    // records keep their order, and the runs interleave.
+    let cfg = MachineConfig {
+        clusters: 2,
+        torus_cols: 1,
+        kernel_instrumentation: true,
+        kernel_event_cost: SimDuration::from_micros(40),
+        ..MachineConfig::single_cluster(16)
+    };
+    let mut m = build(20, cfg);
+    assert_eq!(m.run(SimTime::from_secs(10)).reason, RunEnd::Completed);
+    let recs = m.emissions();
+    let stats = m.stats();
+    assert_eq!(
+        recs.len() as u64,
+        stats.events_emitted + stats.kernel_events,
+        "one record per application emission and per kernel event"
+    );
+    for node in 0..20 {
+        let mine: Vec<_> = recs
+            .iter()
+            .filter(|rec| rec.node == NodeId::new(node))
+            .collect();
+        assert!(!mine.is_empty(), "node {node} emitted nothing");
+        for pair in mine.windows(2) {
+            assert!(
+                pair[1].start >= pair[0].last_write_at() + pair[0].spacing,
+                "node {node}: emission at {} out of order after the one at {}",
+                pair[1].start,
+                pair[0].start
+            );
+        }
+    }
+    let first_remote = recs.iter().position(|rec| rec.node.index() >= 16);
+    let last_local = recs.iter().rposition(|rec| rec.node.index() < 16);
+    assert!(
+        first_remote < last_local,
+        "the second cluster's run must interleave with the first's"
+    );
+    assert_eq!(m.signals().display_writes(), expected_display(&m));
 }

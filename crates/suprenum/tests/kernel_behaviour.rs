@@ -859,3 +859,115 @@ fn inter_team_switches_cost_more() {
         "inter-team switching should make the run slower ({cross_end} vs {same_end})"
     );
 }
+
+/// A mailbox LWP is woken once, however many messages queue for it.
+/// Two messages reach the owner while it computes: its mailbox LWP is
+/// queued by the first and must not be queued again by the second, and
+/// one service round accepts both. A third message arrives while that
+/// round runs: the LWP is still active, so the arrival does not wake
+/// it, and the end of the round schedules a second one for it.
+#[test]
+fn one_mailbox_wakeup_serves_every_waiting_message() {
+    use suprenum::os_tokens;
+
+    let accept = SimDuration::from_millis(4);
+    let cfg = MachineConfig {
+        mailbox_accept_cost: accept,
+        kernel_instrumentation: true,
+        ..MachineConfig::single_cluster(4)
+    };
+    let mut m = Machine::new(cfg, 7).unwrap();
+
+    let sender = |to: ProcessId, delay: SimDuration| {
+        ClosureProc::new("sender", move |ctx, _why, step| match step {
+            0 => Action::Sleep(delay),
+            1 => Action::MailboxSend {
+                to,
+                msg: Message::new(ctx.pid, 64, "job"),
+            },
+            _ => Action::Exit,
+        })
+    };
+    let mut owner = None;
+    let root = ClosureProc::new("root", move |ctx, why, step| {
+        if let Resume::Spawned(pid) = why {
+            owner.get_or_insert(pid);
+        }
+        let root = ctx.pid;
+        match step {
+            // The owner computes for 20 ms, then reads three messages
+            // and reports back.
+            0 => Action::Spawn {
+                node: NodeId::new(1),
+                body: ClosureProc::new("owner", move |ctx, _why, step| match step {
+                    0 => Action::Compute(SimDuration::from_millis(20)),
+                    1..=3 => Action::MailboxRecv,
+                    4 => Action::SendSync {
+                        to: root,
+                        msg: Message::new(ctx.pid, 8, "done"),
+                    },
+                    _ => Action::Exit,
+                }),
+            },
+            // Two senders inside the owner's compute, one inside the
+            // first service round (which starts at about 21 ms).
+            1 => Action::Spawn {
+                node: NodeId::new(2),
+                body: sender(owner.unwrap(), SimDuration::from_millis(2)),
+            },
+            2 => Action::Spawn {
+                node: NodeId::new(3),
+                body: sender(owner.unwrap(), SimDuration::from_millis(4)),
+            },
+            3 => Action::Spawn {
+                node: NodeId::new(2),
+                body: sender(owner.unwrap(), SimDuration::from_millis(24)),
+            },
+            4 => Action::Recv,
+            _ => Action::Exit,
+        }
+    });
+    m.add_process(NodeId::new(0), root);
+    assert_eq!(m.run(SimTime::from_secs(10)).reason, RunEnd::Completed);
+
+    let stats = m.stats();
+    assert_eq!(stats.mailbox_services, 2);
+    assert_eq!(stats.mailbox_messages, 3);
+    let owner_pid = m
+        .ground_truth()
+        .iter()
+        .find(|(_, h)| h.label == "owner")
+        .map(|(pid, _)| pid)
+        .unwrap();
+    let rounds: Vec<(SimTime, u8)> = m
+        .emissions()
+        .iter()
+        .filter(|rec| rec.token == os_tokens::KERNEL_MAILBOX_SERVICE)
+        .map(|rec| {
+            let (pid, count) = os_tokens::split_param(rec.param);
+            assert_eq!(pid, owner_pid.raw());
+            (rec.start, count)
+        })
+        .collect();
+    assert_eq!(rounds.iter().map(|&(_, n)| n).collect::<Vec<_>>(), [2, 1]);
+
+    // The third sender sent while the first round was accepting.
+    let third_sent = m
+        .ground_truth()
+        .iter()
+        .filter(|(_, h)| h.label == "sender")
+        .map(|(_, h)| {
+            h.transitions
+                .iter()
+                .find(|t| t.state == ProcState::Blocked(BlockReason::MailboxSend))
+                .unwrap()
+                .time
+        })
+        .max()
+        .unwrap();
+    let (first_round, _) = rounds[0];
+    assert!(
+        first_round < third_sent && third_sent < first_round + accept * 2,
+        "third message sent at {third_sent}, first round started at {first_round}"
+    );
+}

@@ -9,10 +9,12 @@ use suprenum::{
 
 /// One member of a communication ring: `rounds` times, compute for its
 /// own duration, send a token to the next ring member, then receive one
-/// from the previous member. Member 0 spawns the whole ring first.
+/// from the previous member. Member 0 spawns the whole ring first, on
+/// four nodes `stride` apart.
 struct RingMember {
     index: u16,
     ring: u16,
+    stride: u16,
     rounds: u32,
     compute_us: u64,
     mailbox: bool,
@@ -27,6 +29,7 @@ impl RingMember {
     fn new(
         index: u16,
         ring: u16,
+        stride: u16,
         rounds: u32,
         compute_us: u64,
         mailbox: bool,
@@ -35,6 +38,7 @@ impl RingMember {
         Box::new(RingMember {
             index,
             ring,
+            stride,
             rounds,
             compute_us,
             mailbox,
@@ -59,13 +63,14 @@ impl Process for RingMember {
                 let body = RingMember::new(
                     next,
                     self.ring,
+                    self.stride,
                     self.rounds,
                     self.compute_us + next as u64 * 37,
                     self.mailbox,
                     self.peers.clone(),
                 );
                 return Action::Spawn {
-                    node: NodeId::new(next % 4),
+                    node: NodeId::new(next % 4 * self.stride),
                     body,
                 };
             }
@@ -122,13 +127,35 @@ impl Process for RingMember {
 }
 
 fn run_ring(ring: u16, rounds: u32, compute_us: u64, mailbox: bool, seed: u64) -> Machine {
+    run_ring_on(1, ring, rounds, compute_us, mailbox, seed).0
+}
+
+/// Runs a ring on `clusters` clusters of four nodes each, its members
+/// on nodes `clusters` apart (nodes 0-3 of one cluster, nodes 0, 2, 4, 6
+/// of two, the first node of each of four), and returns the machine and
+/// every member's pid in member order.
+fn run_ring_on(
+    clusters: u8,
+    ring: u16,
+    rounds: u32,
+    compute_us: u64,
+    mailbox: bool,
+    seed: u64,
+) -> (Machine, Vec<ProcessId>) {
     let peers = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let mut machine = Machine::new(MachineConfig::single_cluster(4), seed).unwrap();
-    let root = RingMember::new(0, ring, rounds, compute_us, mailbox, peers.clone());
+    let cfg = MachineConfig {
+        clusters,
+        torus_cols: clusters.min(2),
+        ..MachineConfig::single_cluster(4)
+    };
+    let stride = u16::from(clusters);
+    let mut machine = Machine::new(cfg, seed).unwrap();
+    let root = RingMember::new(0, ring, stride, rounds, compute_us, mailbox, peers.clone());
     let pid0 = machine.add_process(NodeId::new(0), root);
     peers.lock().unwrap().push(pid0);
     machine.run(SimTime::from_secs(3_600));
-    machine
+    let pids = peers.lock().unwrap().clone();
+    (machine, pids)
 }
 
 proptest! {
@@ -164,15 +191,31 @@ proptest! {
         );
     }
 
-    /// Ground-truth histories are well formed under random workloads:
-    /// chronological, starting Ready, Running only entered from Ready.
+    /// Ground-truth histories are well formed under random workloads
+    /// on one, two or four clusters: every spawned pid appears exactly
+    /// once, in increasing order (on several clusters, after the
+    /// partitions' recorders are absorbed into one), and each history
+    /// is chronological, starts Ready, and enters Running only from
+    /// Ready.
     #[test]
     fn ground_truth_is_well_formed(
         ring in 2u16..5,
         rounds in 1u32..4,
+        cluster_shift in 0u32..3,
     ) {
         use suprenum::ProcState;
-        let m = run_ring(ring, rounds, 500, true, 9);
+        let (m, members) = run_ring_on(1 << cluster_shift, ring, rounds, 500, true, 9);
+        let recorded: Vec<ProcessId> = m.ground_truth().iter().map(|(pid, _)| pid).collect();
+        prop_assert!(recorded.windows(2).all(|w| w[0] < w[1]), "pids out of order: {:?}", recorded);
+        let mut spawned = members.clone();
+        spawned.sort();
+        prop_assert_eq!(&recorded, &spawned);
+        prop_assert_eq!(m.ground_truth().len(), ring as usize);
+        prop_assert_eq!(m.stats().processes_spawned, ring as u64);
+        for (index, &pid) in members.iter().enumerate() {
+            let label = m.ground_truth().history(pid).map(|h| h.label.clone());
+            prop_assert_eq!(label, Some(format!("ring-{index}")));
+        }
         for (_pid, hist) in m.ground_truth().iter() {
             let ts = &hist.transitions;
             prop_assert!(!ts.is_empty());
@@ -202,7 +245,7 @@ proptest! {
 fn sync_ring_deadlocks_where_mailbox_ring_completes() {
     let peers = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut machine = Machine::new(MachineConfig::single_cluster(4), 3).unwrap();
-    let root = RingMember::new(0, 3, 2, 200, false, peers.clone());
+    let root = RingMember::new(0, 3, 1, 2, 200, false, peers.clone());
     let pid0 = machine.add_process(NodeId::new(0), root);
     peers.lock().unwrap().push(pid0);
     let outcome = machine.run(SimTime::from_secs(600));

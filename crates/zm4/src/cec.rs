@@ -53,8 +53,8 @@ pub fn merge(trace: &mut [TraceRecord]) {
 /// Insertion shifts allowed per element before [`sort_by_key`] hands the
 /// slice to the library sort. The nearly sorted queues of the benchmark
 /// workloads need under 0.02 an element. The ones that need more hold
-/// long sorted runs (one per cluster of a multi-cluster machine, or per
-/// probe clock drifting apart), which the library sort merges.
+/// long sorted runs (one per probe clock drifting apart), which the
+/// library sort merges.
 const SHIFTS_PER_ELEMENT: usize = 2;
 
 /// Sorts `v` stably by `key`, in linear time when `v` is nearly sorted.
