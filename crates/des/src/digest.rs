@@ -78,6 +78,32 @@ impl Fnv64 {
         self.0 = self.0.wrapping_mul(PRIME_POWERS[8 - significant]);
     }
 
+    /// Absorbs a `u64` of at most `N` significant bytes as its 8
+    /// little-endian bytes: the `N` low bytes, then the zero bytes
+    /// above them as one multiplication by a power of the prime. Equals
+    /// [`write_u64`](Self::write_u64) for every `v < 2^(8N)`, but its
+    /// loop has a length fixed at compile time, so the hashes of many
+    /// values of one width can run side by side.
+    ///
+    /// # Panics
+    ///
+    /// Fails to compile if `N > 8`. Panics in debug builds if `v` has
+    /// more than `N` significant bytes.
+    #[inline(always)]
+    pub fn write_u64_fixed<const N: usize>(&mut self, v: u64) {
+        const { assert!(N <= 8, "a u64 has 8 bytes") };
+        debug_assert!(
+            8 - v.leading_zeros() as usize / 8 <= N,
+            "{v:#x} has more than {N} significant bytes"
+        );
+        let mut rest = v;
+        for _ in 0..N {
+            self.write_u8(rest as u8);
+            rest >>= 8;
+        }
+        self.0 = self.0.wrapping_mul(PRIME_POWERS[8 - N]);
+    }
+
     /// The digest of everything absorbed so far. Non-consuming: more
     /// data may be written afterwards.
     #[inline]
@@ -135,11 +161,52 @@ mod tests {
         }
     }
 
+    /// `write_u64_fixed` at `width` bytes, after the same prefix as
+    /// [`folded`].
+    fn fixed(width: usize, v: u64) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(0x5eed);
+        match width {
+            0 => h.write_u64_fixed::<0>(v),
+            1 => h.write_u64_fixed::<1>(v),
+            2 => h.write_u64_fixed::<2>(v),
+            3 => h.write_u64_fixed::<3>(v),
+            4 => h.write_u64_fixed::<4>(v),
+            5 => h.write_u64_fixed::<5>(v),
+            6 => h.write_u64_fixed::<6>(v),
+            7 => h.write_u64_fixed::<7>(v),
+            8 => h.write_u64_fixed::<8>(v),
+            _ => unreachable!("a u64 has 8 bytes"),
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn write_u64_fixed_equals_write_u64_at_every_byte_boundary() {
+        for width in 0..=8 {
+            // 0, and both sides of every byte boundary the width holds.
+            let mut values = vec![0];
+            for k in 1..=width {
+                values.push(1u64 << (8 * (k - 1)));
+                values.push(u64::MAX >> (64 - 8 * k));
+            }
+            for v in values {
+                assert_eq!(fixed(width, v), folded(v), "width {width}, {v:#x}");
+                assert_eq!(fixed(width, v), bytewise(v), "width {width}, {v:#x}");
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn write_u64_equals_its_bytes(v in proptest::prelude::any::<u64>(), shift in 0u32..64) {
             proptest::prop_assert_eq!(folded(v), bytewise(v));
-            proptest::prop_assert_eq!(folded(v >> shift), bytewise(v >> shift));
+            let v = v >> shift;
+            proptest::prop_assert_eq!(folded(v), bytewise(v));
+            // Every fixed width that holds `v`.
+            for width in 8 - v.leading_zeros() as usize / 8..=8 {
+                proptest::prop_assert_eq!(fixed(width, v), bytewise(v));
+            }
         }
     }
 

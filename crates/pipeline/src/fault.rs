@@ -12,11 +12,17 @@
 //! (an FNV-1a hash of `(channel, time, pattern, seed)`), never of
 //! iteration order — so faulted measurements are reproducible per seed,
 //! identical across engine-shard counts, and the same whether the
-//! writes arrive one emission's burst at a time
-//! ([`observe`](crate::observe)) or as the time-sorted signal log,
-//! exactly like the un-faulted pipeline.
+//! writes arrive as the time-sorted signal log, one sample at a time
+//! ([`FaultConfig::apply`]), or one emission's burst at a time
+//! ([`observe`](crate::observe)), exactly like the un-faulted pipeline.
+//! A burst's 32 verdicts are hashed in one pass, at the width of its
+//! latest write time; a write's drifted clock reading is worked out
+//! only when that write completes an event at the detector, the one
+//! place it is read.
 
 use des::digest::Fnv64;
+use des::time::{SimDuration, SimTime};
+use hybridmon::encode::WRITES_PER_EVENT;
 use hybridmon::Pattern;
 use zm4::ProbeSample;
 
@@ -107,8 +113,12 @@ impl FaultConfig {
 }
 
 /// One channel's share of a [`FaultConfig`], built once per channel by
-/// [`FaultConfig::channel`] so each write hashes only its time and
-/// pattern.
+/// [`FaultConfig::channel`]. A write's verdict continues the channel's
+/// hash with only its time and pattern: one sample at a time in
+/// [`apply`](Self::apply), or a whole burst's in one pass in
+/// [`verdicts`](Self::verdicts). Its [`fate`](Self::fate) follows from
+/// the verdict; its clock reading, [`stamp`](Self::stamp), from its
+/// true time alone.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChannelFaults {
     faults: FaultConfig,
@@ -125,25 +135,96 @@ impl ChannelFaults {
         let mut h = self.verdict;
         h.write_u64(sample.time.as_nanos());
         h.write_u64(u64::from(sample.pattern.index()));
-        let verdict = h.finish();
+        let pattern = self.fate(h.finish(), sample.pattern)?;
+        Some(ProbeSample {
+            time: self.stamp(sample.time),
+            pattern,
+            ..sample
+        })
+    }
 
+    /// The verdicts of a burst of writes on this channel: write `k`
+    /// shows `patterns[k]` at `start + spacing × (k + 1)`, and its
+    /// verdict is the one [`apply`](Self::apply) hashes for it.
+    ///
+    /// The latest write has the most significant bytes, so every time
+    /// of the burst fits its width `N`, and absorbing the `N` low bytes
+    /// of a time equals absorbing all eight. With `N` fixed for the
+    /// burst, the 32 hash chains have no branch and run side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the latest write time overflows [`SimTime`].
+    pub(crate) fn verdicts(
+        &self,
+        start: SimTime,
+        spacing: SimDuration,
+        patterns: &[Pattern; WRITES_PER_EVENT],
+    ) -> [u64; WRITES_PER_EVENT] {
+        let last = start + spacing * WRITES_PER_EVENT as u64;
+        let (start, spacing) = (start.as_nanos(), spacing.as_nanos());
+        match 8 - last.as_nanos().leading_zeros() / 8 {
+            0 => self.verdicts_of_width::<0>(start, spacing, patterns),
+            1 => self.verdicts_of_width::<1>(start, spacing, patterns),
+            2 => self.verdicts_of_width::<2>(start, spacing, patterns),
+            3 => self.verdicts_of_width::<3>(start, spacing, patterns),
+            4 => self.verdicts_of_width::<4>(start, spacing, patterns),
+            5 => self.verdicts_of_width::<5>(start, spacing, patterns),
+            6 => self.verdicts_of_width::<6>(start, spacing, patterns),
+            7 => self.verdicts_of_width::<7>(start, spacing, patterns),
+            _ => self.verdicts_of_width::<8>(start, spacing, patterns),
+        }
+    }
+
+    /// [`verdicts`](Self::verdicts) for a burst whose times all have at
+    /// most `N` significant bytes. A pattern index is below `2^8`, so
+    /// it is absorbed at width 1, index 0 included.
+    #[inline(always)]
+    fn verdicts_of_width<const N: usize>(
+        &self,
+        start: u64,
+        spacing: u64,
+        patterns: &[Pattern; WRITES_PER_EVENT],
+    ) -> [u64; WRITES_PER_EVENT] {
+        let mut verdicts = [0; WRITES_PER_EVENT];
+        for (k, (verdict, pattern)) in verdicts.iter_mut().zip(patterns).enumerate() {
+            let mut h = self.verdict;
+            h.write_u64_fixed::<N>(start + spacing * (k as u64 + 1));
+            h.write_u64_fixed::<1>(u64::from(pattern.index()));
+            *verdict = h.finish();
+        }
+        verdicts
+    }
+
+    /// The fate of a write of `pattern` whose verdict is `verdict`:
+    /// `None` when the probe drops it, otherwise the pattern the
+    /// detector sees.
+    #[inline]
+    pub(crate) fn fate(&self, verdict: u64, pattern: Pattern) -> Option<Pattern> {
         if verdict % 1000 < u64::from(self.faults.probe_drop_permille) {
             return None;
         }
-
-        let mut out = sample;
         if (verdict >> 16) % 1000 < u64::from(self.faults.probe_corrupt_permille) {
             // A nonzero 4-bit XOR mask: the corrupted word is always a
             // *different* valid pattern (possibly the trigger word —
             // exactly the failure a real flaky probe line produces).
             let mask = ((verdict >> 32) % 15 + 1) as u8;
-            out.pattern = Pattern::new(sample.pattern.index() ^ mask)
-                .expect("xor of two 4-bit pattern indices is a 4-bit pattern index");
+            return Some(
+                Pattern::new(pattern.index() ^ mask)
+                    .expect("xor of two 4-bit pattern indices is a 4-bit pattern index"),
+            );
         }
+        Some(pattern)
+    }
+
+    /// The channel's recorder clock reading of a write at true `time`.
+    #[inline]
+    pub(crate) fn stamp(&self, time: SimTime) -> SimTime {
         if self.faults.clock_drift_ppm > 0 {
-            out.time = des::time::SimTime::from_nanos(self.drifted_nanos(out.time.as_nanos()));
+            SimTime::from_nanos(self.drifted_nanos(time.as_nanos()))
+        } else {
+            time
         }
-        Some(out)
     }
 
     /// The drifted clock reading: linear in `nanos` with positive slope,
@@ -166,7 +247,6 @@ impl ChannelFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::time::SimTime;
     use proptest::prelude::*;
 
     /// The fault model as first written, every hash recomputed per
@@ -240,6 +320,51 @@ mod tests {
             for pattern in 0..16 {
                 let s = sample(channel, time, pattern);
                 prop_assert_eq!(f.apply(s), apply_reference(&f, s));
+            }
+        }
+
+        /// A burst's verdicts, hashed in one pass at the width of its
+        /// latest write time, equal the verdicts the per-sample formula
+        /// hashes write by write. The burst ends near `2^(8k)` ns for a
+        /// `k` in 1..=7, so most bursts straddle that byte boundary and
+        /// their early writes have fewer significant bytes than the
+        /// burst's width; at `k = 8` it ends just below `u64::MAX` ns.
+        #[test]
+        fn burst_verdicts_match_the_per_write_verdicts(
+            seed in any::<u64>(),
+            channel in 0usize..=300,
+            spacing in (0u64..=200_000, 0u32..18).prop_map(|(ns, shift)| ns >> shift),
+            boundary in 1u32..=8,
+            lead in any::<u64>(),
+            indices in proptest::collection::vec(0u8..16, WRITES_PER_EVENT),
+        ) {
+            let span = spacing * WRITES_PER_EVENT as u64;
+            // Writes land `spacing` to `span` after the start, so a start
+            // up to `span + spacing` below the boundary puts it anywhere
+            // from before the first write to after the last.
+            let lead = lead % (span + spacing + 1);
+            let start = match boundary {
+                8 => u64::MAX - span - lead,
+                k => (1u64 << (8 * k)).saturating_sub(lead),
+            };
+            let patterns: [Pattern; WRITES_PER_EVENT] =
+                std::array::from_fn(|k| Pattern::new(indices[k]).unwrap());
+            let f = FaultConfig {
+                seed,
+                ..FaultConfig::default()
+            };
+            let verdicts = f.channel(channel).verdicts(
+                SimTime::from_nanos(start),
+                SimDuration::from_nanos(spacing),
+                &patterns,
+            );
+            for (k, (pattern, verdict)) in patterns.iter().zip(verdicts).enumerate() {
+                let mut h = Fnv64::new();
+                h.write_u64(seed);
+                h.write_u64(channel as u64);
+                h.write_u64(start + spacing * (k as u64 + 1));
+                h.write_u64(u64::from(pattern.index()));
+                prop_assert_eq!((k, verdict), (k, h.finish()));
             }
         }
     }

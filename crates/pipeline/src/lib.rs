@@ -47,7 +47,7 @@ use hybridmon::encode::encode;
 use hybridmon::IntrusionReport;
 use simple::Trace;
 use suprenum::{EmissionRecord, Machine, MachineConfig, RunEnd, RunOutcome, SignalLog};
-use zm4::{Measurement, ProbeSample, Zm4, Zm4Config};
+use zm4::{Measurement, Zm4, Zm4Config};
 
 pub mod fault;
 pub mod jacobi;
@@ -501,9 +501,12 @@ pub fn try_run_workload<W: Workload>(
 /// — so each emission is exactly one detected event, and the events go
 /// straight to the recorders ([`zm4::Zm4::observe_decoded`]). With
 /// faults, each emission reaches its channel's probe as one burst
-/// ([`zm4::Zm4::probes`]): its writes pass the channel's fault model one
-/// by one, and the survivors feed the pattern-level detector, which
-/// then sees the drops, corruptions and clock drift.
+/// ([`zm4::Zm4::probes`]): the channel's fault model hashes the burst's
+/// 32 verdicts in one pass, each write's verdict decides whether it is
+/// dropped or corrupted, and the survivors feed the pattern-level
+/// detector, which then sees the drops and corruptions. A write's
+/// drifted clock reading is worked out only when the detector
+/// completes an event with it.
 ///
 /// Debug builds also run the pattern-level monitor over the time-sorted
 /// signal log, each sample through [`FaultConfig::apply`], and assert
@@ -548,9 +551,11 @@ pub fn observe(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig)
     measurement
 }
 
-/// The faulted branch of [`observe`]: one probe lookup per emission,
-/// then its 32 writes (as [`EmissionRecord::writes`] expands them)
-/// through the channel's fault model into the channel's detector.
+/// The faulted branch of [`observe`], two passes per emission: the
+/// channel's fault model hashes the verdicts of its 32 writes (as
+/// [`EmissionRecord::writes`] expands them), then each surviving write's
+/// pattern goes to the channel's detector, with the write's drifted
+/// time stamped only if it completes an event.
 fn observe_bursts(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConfig) -> Measurement {
     let by_channel: Vec<_> = (0..monitor.channels()).map(|c| faults.channel(c)).collect();
     let mut probes = monitor.probes();
@@ -561,15 +566,13 @@ fn observe_bursts(monitor: &Zm4, emissions: &[EmissionRecord], faults: FaultConf
             continue;
         };
         let channel_faults = &by_channel[channel];
-        let mut time = rec.start;
-        for pattern in encode(rec.event()) {
-            time += rec.spacing;
-            if let Some(sample) = channel_faults.apply(ProbeSample {
-                time,
-                channel,
-                pattern,
-            }) {
-                probe.feed(sample);
+        let patterns = encode(rec.event());
+        let verdicts = channel_faults.verdicts(rec.start, rec.spacing, &patterns);
+        for (k, (&pattern, &verdict)) in patterns.iter().zip(&verdicts).enumerate() {
+            if let Some(pattern) = channel_faults.fate(verdict, pattern) {
+                probe.feed_pattern(pattern, || {
+                    channel_faults.stamp(rec.start + rec.spacing * (k as u64 + 1))
+                });
             }
         }
     }

@@ -199,7 +199,10 @@ proptest! {
     /// pattern-level monitor over the time-sorted signal log with every
     /// sample through `FaultConfig::apply`. Streams that start past the
     /// five simulated hours where drifted clocks leave `i64` run the
-    /// drift's wide fallback.
+    /// drift's wide fallback. A stream that starts 20 µs below `2^32` ns
+    /// often opens with a burst that straddles that byte boundary of the
+    /// write time (about two cases in five), so the burst's verdicts are
+    /// hashed at a width its early writes do not fill.
     #[test]
     fn faulted_observation_matches_patterns_on_random_emission_streams(
         nodes in 1u16..9,
@@ -207,7 +210,7 @@ proptest! {
             (0u16..9, 0u8..3, 0u64..200_000, 0usize..3),
             0..120,
         ),
-        origin_pick in 0usize..3,
+        origin_pick in 0usize..4,
         drop in permille(),
         corrupt in permille(),
         drift in (0u32..500_000, 0u8..4).prop_map(|(ppm, edge)| match edge {
@@ -225,6 +228,7 @@ proptest! {
             SimTime::from_micros(1),
             SimTime::from_secs(6 * 3_600),
             SimTime::from_secs(1_000 * 3_600),
+            SimTime::from_nanos((1 << 32) - 20_000),
         ][origin_pick];
         let records = emission_stream(&requests, nodes, origin);
         let faults = FaultConfig {

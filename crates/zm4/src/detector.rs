@@ -85,13 +85,23 @@ impl EventDetector {
     #[inline]
     pub fn feed(&mut self, sample: ProbeSample) -> Option<DetectedEvent> {
         debug_assert_eq!(sample.channel, self.channel, "sample fed to wrong detector");
-        self.decoder
-            .feed(sample.pattern)
-            .map(|event| DetectedEvent {
-                time: sample.time + self.latency,
-                channel: self.channel,
-                event,
-            })
+        self.feed_pattern(sample.pattern, || sample.time)
+    }
+
+    /// [`feed`](Self::feed) for a write of this channel given by its
+    /// pattern, with its time read from `stamp` only if the pattern
+    /// completes an event.
+    #[inline]
+    pub(crate) fn feed_pattern(
+        &mut self,
+        pattern: Pattern,
+        stamp: impl FnOnce() -> SimTime,
+    ) -> Option<DetectedEvent> {
+        self.decoder.feed(pattern).map(|event| DetectedEvent {
+            time: stamp() + self.latency,
+            channel: self.channel,
+            event,
+        })
     }
 
     /// Processes a whole time-ordered sample stream.

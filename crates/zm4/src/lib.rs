@@ -79,6 +79,7 @@ use des::clock::ClockModel;
 use des::rng::DetRng;
 use des::time::SimTime;
 use hybridmon::decode::DecodeStats;
+use hybridmon::Pattern;
 
 /// The assembled monitor system: one probe/detector per monitored
 /// channel, channels grouped onto event recorders, recorders onto
@@ -376,6 +377,21 @@ impl ChannelProbe<'_> {
     #[inline]
     pub fn feed(&mut self, sample: ProbeSample) {
         if let Some(event) = self.detector.feed(sample) {
+            self.requests.push(event);
+        }
+    }
+
+    /// [`feed`](Self::feed) for a write given by its pattern, with its
+    /// time stamped lazily: `stamp` is called at most once, and only if
+    /// this write completes an event. It must return the time `feed`
+    /// would be given, and those times must be non-decreasing in feed
+    /// order over the channel's writes, whether read or not; the
+    /// measurement is then the same as with `feed`. A caller whose
+    /// write times cost work (a drifting recorder clock, say) pays for
+    /// them only on the writes that complete events.
+    #[inline]
+    pub fn feed_pattern(&mut self, pattern: Pattern, stamp: impl FnOnce() -> SimTime) {
+        if let Some(event) = self.detector.feed_pattern(pattern, stamp) {
             self.requests.push(event);
         }
     }
